@@ -16,7 +16,6 @@ O(1) with the histogram.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from repro.core.constants import WildcardClass
@@ -182,7 +181,7 @@ class EmulatedMatcher:
     def deliver(self, msg: MessageEnvelope) -> bool:
         """Deliver a message; returns True when it matched a receive."""
         self.messages += 1
-        msg = dataclasses.replace(msg, arrival=self._arrivals.next())
+        msg = msg.with_arrival(self._arrivals.next())
         self._observe_occupancy()
         best: ReceiveDescriptor | None = None
         visited = 0
@@ -190,7 +189,7 @@ class EmulatedMatcher:
             for node in chain.iter_nodes():
                 visited += 1
                 descr = node.payload
-                if predicate(descr):
+                if predicate(descr.request, msg):
                     if best is None or descr.post_label < best.post_label:
                         best = descr
                     break

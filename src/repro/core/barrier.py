@@ -11,7 +11,12 @@ conflict-detection status: thread *i* must know whether any lower
 thread detected a conflict before it may consume its candidate without
 resolution (paper §III-D.2: "if a thread *i* detects a conflict, then
 all other threads *j* > *i* need to enter the conflict resolution
-phase").
+phase"). A third bitmap per block publishes *resolution*: a thread on
+the slow path, or one about to store its message as unexpected, waits
+until every lower thread has settled its own message (§III-D.3b).
+
+All three waits are the same primitive: :meth:`PartialBarrier.wait_condition`
+hands the executor a predicate that is one masked compare per poll.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ class PartialBarrier:
         return self._bitmap.all_below(thread_id)
 
     def wait_condition(self, thread_id: int) -> Callable[[], bool]:
-        """A condition callable for the stepped executor."""
-        return lambda: self.passed(thread_id)
+        """:meth:`passed` as a condition callable for the stepped
+        executor: one masked compare (and one call) per poll."""
+        return self._bitmap.all_below_condition(thread_id)
 
     def reset(self) -> None:
         self._bitmap.reset()

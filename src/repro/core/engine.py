@@ -24,9 +24,9 @@ interleaving the scheduler produces (property-tested in
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from collections.abc import Callable, Generator
+from functools import partial
 
 from repro.core.barrier import PartialBarrier
 from repro.core.config import EngineConfig
@@ -41,7 +41,7 @@ from repro.core.indexes import (
     UnexpectedIndexes,
     UnexpectedMessage,
 )
-from repro.core.optimistic import search_candidate
+from repro.core.optimistic import search_candidate, skipped_classes
 from repro.core.stats import BlockStats, EngineStats
 from repro.core.threadsim import SchedulePolicy, SteppedExecutor, Yielded
 from repro.obs.probe import probe
@@ -73,7 +73,9 @@ class _BlockContext:
         self.barrier = PartialBarrier(width)
         self.detect = PartialBarrier(width)
         self.conflict_flags = [False] * len(messages)
-        self.resolved = [False] * len(messages)
+        #: Bit i: thread i settled its message (consumed a receive or
+        #: stored the message unexpected).
+        self.resolved = PartialBarrier(width)
         self.candidates: list[ReceiveDescriptor | None] = [None] * len(messages)
         self.outcomes: list[MatchEvent | None] = [None] * len(messages)
         self.stats = BlockStats(messages=len(messages))
@@ -81,10 +83,6 @@ class _BlockContext:
     @property
     def active(self) -> int:
         return len(self.messages)
-
-    def resolved_below(self, thread_id: int) -> Callable[[], bool]:
-        """Wait condition: every thread below ``thread_id`` resolved."""
-        return lambda: all(self.resolved[j] for j in range(thread_id))
 
 
 class OptimisticMatcher:
@@ -112,6 +110,11 @@ class OptimisticMatcher:
         self.table = DescriptorTable(self.config.max_receives, self.config.block_threads)
         self.stats = EngineStats(keep_history=keep_history, history_limit=history_limit)
         self._executor = SteppedExecutor(policy)
+        #: search_candidate bound to this engine's indexes and hints
+        #: (both fixed for its lifetime), so the skip set is built once.
+        self._search = partial(
+            search_candidate, self.indexes, self.config, skipped_classes(self.config)
+        )
         self._post_labels = MonotonicCounter()
         self._sequencer = SequenceLabeler()
         #: Stamps MatchEvent.decision_order in semantic decision order.
@@ -267,8 +270,7 @@ class OptimisticMatcher:
             raise ValueError(
                 f"message for communicator {msg.comm} submitted to engine for {self.comm}"
             )
-        stamped = dataclasses.replace(msg, arrival=self._arrivals.next())
-        self._pending.append(stamped)
+        self._pending.append(msg.with_arrival(self._arrivals.next()))
 
     @property
     def pending_messages(self) -> int:
@@ -314,7 +316,7 @@ class OptimisticMatcher:
             threads = self.fault_injector.wrap_block(ctx, threads)
         run_stats = self._executor.run(threads)
         ctx.stats.wait_polls = run_stats.total_wait_polls()
-        ctx.stats.thread_steps = [run_stats.steps[tid] for tid in range(len(batch))]
+        ctx.stats.thread_steps = run_stats.steps
         self._finish_block(ctx)
         events = [outcome for outcome in ctx.outcomes if outcome is not None]
         if len(events) != len(batch):  # pragma: no cover - internal invariant
@@ -341,8 +343,8 @@ class OptimisticMatcher:
         cfg = self.config
 
         # --- Optimistic matching phase (§III-C) ---
-        candidate = yield from search_candidate(
-            self.indexes, cfg, ctx.stats, tid, msg, early_skip=cfg.early_booking_check
+        candidate = yield from self._search(
+            ctx.stats, tid, msg, early_skip=cfg.early_booking_check
         )
         if candidate is not None:
             candidate.booking.set(tid)  # tentative booking
@@ -358,7 +360,7 @@ class OptimisticMatcher:
         ctx.conflict_flags[tid] = conflicted
         ctx.detect.enter(tid)
         yield ctx.detect.wait_condition(tid)
-        lower_conflict = any(ctx.conflict_flags[j] for j in range(tid))
+        lower_conflict = any(ctx.conflict_flags[:tid])
         if conflicted:
             ctx.stats.conflicts += 1
 
@@ -371,9 +373,9 @@ class OptimisticMatcher:
             else:
                 # Unexpected insertion must follow arrival order, so
                 # wait for earlier messages to settle first.
-                yield ctx.resolved_below(tid)
+                yield ctx.resolved.wait_condition(tid)
                 self._store_unexpected(ctx, tid, msg)
-            ctx.resolved[tid] = True
+            ctx.resolved.enter(tid)
             return
 
         # --- Fast path (§III-D.3a) ---
@@ -382,27 +384,25 @@ class OptimisticMatcher:
             if target is not None:
                 self._consume(ctx, tid, target, ResolutionPath.FAST)
                 ctx.stats.fast_path += 1
-                ctx.resolved[tid] = True
+                ctx.resolved.enter(tid)
                 return
 
         # --- Slow path (§III-D.3b) ---
         ctx.stats.slow_path += 1
-        yield ctx.resolved_below(tid)
+        yield ctx.resolved.wait_condition(tid)
         if candidate is not None and candidate.is_live():
             # Lower threads settled without taking it; since they only
             # ever consume receives, it is still the oldest live match.
             self._consume(ctx, tid, candidate, ResolutionPath.SLOW)
         else:
-            rematch = yield from search_candidate(
-                self.indexes, cfg, ctx.stats, tid, msg, early_skip=False
-            )
+            rematch = yield from self._search(ctx.stats, tid, msg, early_skip=False)
             if rematch is not None:
                 rematch.booking.set(tid)
                 ctx.stats.bookings += 1
                 self._consume(ctx, tid, rematch, ResolutionPath.SLOW)
             else:
                 self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.resolved.enter(tid)
 
     def _overtaking_thread(
         self, ctx: _BlockContext, tid: int
@@ -417,13 +417,8 @@ class OptimisticMatcher:
         """
         msg = ctx.messages[tid]
         while True:
-            candidate = yield from search_candidate(
-                self.indexes,
-                self.config,
-                ctx.stats,
-                tid,
-                msg,
-                early_skip=self.config.early_booking_check,
+            candidate = yield from self._search(
+                ctx.stats, tid, msg, early_skip=self.config.early_booking_check
             )
             if candidate is None:
                 self._store_unexpected(ctx, tid, msg)
@@ -436,7 +431,7 @@ class OptimisticMatcher:
                 self._consume(ctx, tid, candidate, ResolutionPath.OPTIMISTIC)
                 ctx.stats.optimistic_hits += 1
                 break
-        ctx.resolved[tid] = True
+        ctx.resolved.enter(tid)
 
     # ------------------------------------------------------------------
     # Consumption, unexpected storage, block epilogue
@@ -504,8 +499,13 @@ class OptimisticMatcher:
         # resolved them in.
         for tid, outcome in enumerate(ctx.outcomes):
             if outcome is not None:
-                ctx.outcomes[tid] = dataclasses.replace(
-                    outcome, decision_order=self.decisions.next()
+                ctx.outcomes[tid] = MatchEvent(
+                    outcome.kind,
+                    outcome.message,
+                    outcome.receive,
+                    outcome.receive_post_label,
+                    outcome.path,
+                    self.decisions.next(),
                 )
         if self.config.lazy_removal:
             # Amortized cleanup: sweep only once enough consumed nodes
@@ -600,9 +600,11 @@ class OptimisticMatcher:
         for msg in unexpected:
             if self.pressure is not None:
                 self.pressure.charge_unexpected()
-            stamped = dataclasses.replace(msg, arrival=self._arrivals.next())
             self.unexpected.insert(
-                UnexpectedMessage(envelope=stamped, buffer_token=self._buffer_tokens.next())
+                UnexpectedMessage(
+                    envelope=msg.with_arrival(self._arrivals.next()),
+                    buffer_token=self._buffer_tokens.next(),
+                )
             )
 
     def evict_oldest_unexpected(self) -> MessageEnvelope | None:

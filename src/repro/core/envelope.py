@@ -69,6 +69,21 @@ class MessageEnvelope:
     def key(self) -> tuple[int, int]:
         return (self.source, self.tag)
 
+    def with_arrival(self, arrival: int) -> "MessageEnvelope":
+        """A copy stamped with its completion-queue position. Spelled
+        out because every message passes through here and
+        ``dataclasses.replace`` costs more than twice as much."""
+        return MessageEnvelope(
+            self.source,
+            self.tag,
+            self.comm,
+            arrival,
+            self.size,
+            self.send_seq,
+            self.inline_hashes,
+            self.mid,
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class ReceiveRequest:

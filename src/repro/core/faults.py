@@ -17,7 +17,6 @@ from collections.abc import Generator
 from repro.core.conflict import detect_conflict
 from repro.core.engine import OptimisticMatcher, _BlockContext
 from repro.core.events import ResolutionPath
-from repro.core.optimistic import search_candidate
 from repro.core.threadsim import Yielded
 
 __all__ = [
@@ -43,10 +42,7 @@ class NoBookingEngine(OptimisticMatcher):
 
     def _thread(self, ctx: _BlockContext, tid: int) -> Generator[Yielded, None, None]:
         msg = ctx.messages[tid]
-        cfg = self.config
-        candidate = yield from search_candidate(
-            self.indexes, cfg, ctx.stats, tid, msg, early_skip=False
-        )
+        candidate = yield from self._search(ctx.stats, tid, msg, early_skip=False)
         # FAULT: no candidate.booking.set(tid) — the bitmap stays empty.
         ctx.candidates[tid] = candidate
         ctx.barrier.enter(tid)
@@ -55,28 +51,26 @@ class NoBookingEngine(OptimisticMatcher):
         ctx.conflict_flags[tid] = conflicted
         ctx.detect.enter(tid)
         yield ctx.detect.wait_condition(tid)
-        lower_conflict = any(ctx.conflict_flags[j] for j in range(tid))
+        lower_conflict = any(ctx.conflict_flags[:tid])
         if not conflicted and not lower_conflict:
             if candidate is not None:
                 self._consume(ctx, tid, candidate, ResolutionPath.OPTIMISTIC)
                 ctx.stats.optimistic_hits += 1
             else:
-                yield ctx.resolved_below(tid)
+                yield ctx.resolved.wait_condition(tid)
                 self._store_unexpected(ctx, tid, msg)
-            ctx.resolved[tid] = True
+            ctx.resolved.enter(tid)
             return
-        yield ctx.resolved_below(tid)
+        yield ctx.resolved.wait_condition(tid)
         if candidate is not None and candidate.is_live():
             self._consume(ctx, tid, candidate, ResolutionPath.SLOW)
         else:
-            rematch = yield from search_candidate(
-                self.indexes, cfg, ctx.stats, tid, msg, early_skip=False
-            )
+            rematch = yield from self._search(ctx.stats, tid, msg, early_skip=False)
             if rematch is not None:
                 self._consume(ctx, tid, rematch, ResolutionPath.SLOW)
             else:
                 self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.resolved.enter(tid)
 
 
 class NoBarrierEngine(OptimisticMatcher):
@@ -89,10 +83,7 @@ class NoBarrierEngine(OptimisticMatcher):
 
     def _thread(self, ctx: _BlockContext, tid: int) -> Generator[Yielded, None, None]:
         msg = ctx.messages[tid]
-        cfg = self.config
-        candidate = yield from search_candidate(
-            self.indexes, cfg, ctx.stats, tid, msg, early_skip=False
-        )
+        candidate = yield from self._search(ctx.stats, tid, msg, early_skip=False)
         if candidate is not None:
             candidate.booking.set(tid)
         ctx.candidates[tid] = candidate
@@ -103,21 +94,19 @@ class NoBarrierEngine(OptimisticMatcher):
             self._consume(ctx, tid, candidate, ResolutionPath.OPTIMISTIC)
             ctx.stats.optimistic_hits += 1
         elif candidate is not None:
-            yield ctx.resolved_below(tid)
+            yield ctx.resolved.wait_condition(tid)
             if candidate.is_live():
                 self._consume(ctx, tid, candidate, ResolutionPath.SLOW)
             else:
-                rematch = yield from search_candidate(
-                    self.indexes, cfg, ctx.stats, tid, msg, early_skip=False
-                )
+                rematch = yield from self._search(ctx.stats, tid, msg, early_skip=False)
                 if rematch is not None:
                     self._consume(ctx, tid, rematch, ResolutionPath.SLOW)
                 else:
                     self._store_unexpected(ctx, tid, msg)
         else:
-            yield ctx.resolved_below(tid)
+            yield ctx.resolved.wait_condition(tid)
             self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.resolved.enter(tid)
 
 
 class NoConflictDetectionEngine(OptimisticMatcher):
@@ -130,9 +119,7 @@ class NoConflictDetectionEngine(OptimisticMatcher):
 
     def _thread(self, ctx: _BlockContext, tid: int) -> Generator[Yielded, None, None]:
         msg = ctx.messages[tid]
-        candidate = yield from search_candidate(
-            self.indexes, self.config, ctx.stats, tid, msg, early_skip=False
-        )
+        candidate = yield from self._search(ctx.stats, tid, msg, early_skip=False)
         if candidate is not None:
             candidate.booking.set(tid)
             ctx.barrier.enter(tid)
@@ -145,9 +132,9 @@ class NoConflictDetectionEngine(OptimisticMatcher):
                 self._store_unexpected(ctx, tid, msg)
         else:
             ctx.barrier.enter(tid)
-            yield ctx.resolved_below(tid)
+            yield ctx.resolved.wait_condition(tid)
             self._store_unexpected(ctx, tid, msg)
-        ctx.resolved[tid] = True
+        ctx.resolved.enter(tid)
 
 
 def _unguarded_fast_path_target(candidate, thread_id, stats=None):

@@ -93,9 +93,21 @@ class HashTable:
         empty = sum(1 for b in self._buckets if b.is_empty())
         return empty / self._bins
 
-    def sweep(self) -> int:
-        """Physically remove lazily-marked nodes from every bucket."""
-        return sum(b.sweep() for b in self._buckets)
+
+def _same_source_and_tag(request: ReceiveRequest, msg: MessageEnvelope) -> bool:
+    return request.source == msg.source and request.tag == msg.tag
+
+
+def _same_tag(request: ReceiveRequest, msg: MessageEnvelope) -> bool:
+    return request.tag == msg.tag
+
+
+def _same_source(request: ReceiveRequest, msg: MessageEnvelope) -> bool:
+    return request.source == msg.source
+
+
+def _always(request: ReceiveRequest, msg: MessageEnvelope) -> bool:
+    return True
 
 
 class ReceiveIndexes:
@@ -106,6 +118,9 @@ class ReceiveIndexes:
         self.source_wildcard = HashTable(bins)
         self.tag_wildcard = HashTable(bins)
         self.both_wildcard: IntrusiveList = IntrusiveList()
+        self._live = 0
+        #: Chains holding lazily-marked nodes since the last sweep.
+        self._dirty: set[IntrusiveList] = set()
 
     @property
     def bins(self) -> int:
@@ -123,39 +138,27 @@ class ReceiveIndexes:
         else:
             chain = self.both_wildcard
         descr.node = chain.append(descr)
+        self._live += 1
 
     def candidate_chains(
         self, msg: MessageEnvelope
-    ) -> list[tuple[WildcardClass, IntrusiveList, Callable[[ReceiveDescriptor], bool]]]:
+    ) -> list[
+        tuple[WildcardClass, IntrusiveList, Callable[[ReceiveRequest, MessageEnvelope], bool]]
+    ]:
         """The four (class, chain, envelope-predicate) search targets.
 
         For each incoming message all four indexes are probed with the
         appropriate key (Fig. 3). Buckets can contain colliding keys,
-        so each chain comes with the residual envelope predicate that a
-        node must satisfy to be a real match.
+        so each chain comes with the residual predicate
+        ``predicate(request, msg)`` that a chained receive must satisfy
+        to be a real match.
         """
         hashes = message_hashes(msg)
         return [
-            (
-                WildcardClass.NONE,
-                self.no_wildcard.bucket(hashes.src_tag),
-                lambda d: d.source == msg.source and d.tag == msg.tag,
-            ),
-            (
-                WildcardClass.SOURCE,
-                self.source_wildcard.bucket(hashes.tag_only),
-                lambda d: d.tag == msg.tag,
-            ),
-            (
-                WildcardClass.TAG,
-                self.tag_wildcard.bucket(hashes.src_only),
-                lambda d: d.source == msg.source,
-            ),
-            (
-                WildcardClass.BOTH,
-                self.both_wildcard,
-                lambda d: True,
-            ),
+            (WildcardClass.NONE, self.no_wildcard.bucket(hashes.src_tag), _same_source_and_tag),
+            (WildcardClass.SOURCE, self.source_wildcard.bucket(hashes.tag_only), _same_tag),
+            (WildcardClass.TAG, self.tag_wildcard.bucket(hashes.src_only), _same_source),
+            (WildcardClass.BOTH, self.both_wildcard, _always),
         ]
 
     def consume(self, descr: ReceiveDescriptor, *, lazy: bool) -> None:
@@ -168,27 +171,28 @@ class ReceiveIndexes:
         node = descr.node
         if node is None or node.owner is None:
             return
+        chain = node.owner
+        if not node.marked:
+            self._live -= 1
         if lazy:
-            node.owner.mark(node)
+            chain.mark(node)
+            self._dirty.add(chain)
         else:
-            node.owner.unlink(node)
+            chain.unlink(node)
             descr.node = None
 
     def sweep(self) -> int:
-        """Batch-remove marked nodes from all structures."""
-        removed = self.no_wildcard.sweep()
-        removed += self.source_wildcard.sweep()
-        removed += self.tag_wildcard.sweep()
-        removed += self.both_wildcard.sweep()
+        """Batch-remove marked nodes; only chains that were lazily
+        consumed from since the last sweep can hold any."""
+        removed = 0
+        for chain in self._dirty:
+            removed += chain.sweep()
+        self._dirty.clear()
         return removed
 
     def total_live(self) -> int:
-        return (
-            self.no_wildcard.total_live()
-            + self.source_wildcard.total_live()
-            + self.tag_wildcard.total_live()
-            + len(self.both_wildcard)
-        )
+        """Live (unconsumed) receives across all four structures, O(1)."""
+        return self._live
 
 
 @dataclass(eq=False, slots=True)

@@ -48,6 +48,7 @@ def skipped_classes(config: EngineConfig) -> frozenset[WildcardClass]:
 def search_candidate(
     indexes: ReceiveIndexes,
     config: EngineConfig,
+    skip_classes: frozenset[WildcardClass],
     stats: BlockStats,
     thread_id: int,
     msg: MessageEnvelope,
@@ -58,6 +59,9 @@ def search_candidate(
 
     Parameters
     ----------
+    skip_classes:
+        ``skipped_classes(config)``, computed once by the engine — the
+        hints are fixed for a communicator's lifetime.
     early_skip:
         Apply the §IV-D early-booking check: skip candidates whose
         booking bitmap already has a bit below ``thread_id`` — some
@@ -66,7 +70,6 @@ def search_candidate(
     Returns the selected candidate (minimum post label across the four
     index candidates) or ``None``. The caller books it.
     """
-    skip_classes = skipped_classes(config)
     inline = config.use_inline_hashes and msg.inline_hashes is not None
 
     best: ReceiveDescriptor | None = None
@@ -86,7 +89,7 @@ def search_candidate(
             descr: ReceiveDescriptor = node.payload
             if node.marked or descr.consumed:
                 continue  # lazily-removed entry still physically present
-            if not predicate(descr):
+            if not predicate(descr.request, msg):
                 continue  # hash collision within the bucket
             if early_skip and descr.booking.any_below(thread_id):
                 stats.early_skips += 1

@@ -20,10 +20,21 @@ yields a zero-argument callable ``cond`` meaning "block me until
 true while every other thread is blocked or finished is a deadlock and
 raises :class:`DeadlockError` — turning liveness bugs into test
 failures instead of hangs.
+
+Poll rule (the cycle model prices it, see docs/CALIBRATION.md): a
+blocked thread's condition is evaluated once per scheduler step taken
+by *any* thread, first on the step after it blocked, in ascending
+thread-ID order; each evaluation is one ``wait_poll``. A wait whose
+condition is already true therefore still costs exactly one poll. The
+scheduler is incremental — it keeps the runnable set sorted and only
+ever touches the blocked threads — but that is an implementation
+detail: ``tests/core/reference_executor.py`` is the full-rescan model
+it must match step for step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass, field
 
@@ -52,6 +63,13 @@ class SchedulePolicy:
     """Chooses which runnable thread advances next."""
 
     def pick(self, runnable: Sequence[int]) -> int:
+        """Return one element of ``runnable``.
+
+        ``runnable`` is never empty and is strictly ascending by
+        thread ID (policies may rely on that, e.g. to bisect). It is
+        the executor's own working list: a policy must treat it as
+        read-only and must not keep a reference past the call.
+        """
         raise NotImplementedError
 
     def reset(self) -> None:
@@ -68,12 +86,10 @@ class RoundRobinPolicy(SchedulePolicy):
         self._last = -1
 
     def pick(self, runnable: Sequence[int]) -> int:
-        for tid in runnable:
-            if tid > self._last:
-                self._last = tid
-                return tid
-        self._last = runnable[0]
-        return runnable[0]
+        # First thread above the last one picked, wrapping around.
+        index = bisect_right(runnable, self._last)
+        tid = self._last = runnable[index if index < len(runnable) else 0]
+        return tid
 
 
 class RandomPolicy(SchedulePolicy):
@@ -118,14 +134,15 @@ class ScriptedPolicy(SchedulePolicy):
 class ThreadStats:
     """Per-run scheduling statistics (also feeds the cycle model)."""
 
-    steps: dict[int, int] = field(default_factory=dict)
-    wait_polls: dict[int, int] = field(default_factory=dict)
+    #: Indexed by thread ID.
+    steps: list[int] = field(default_factory=list)
+    wait_polls: list[int] = field(default_factory=list)
 
     def total_steps(self) -> int:
-        return sum(self.steps.values())
+        return sum(self.steps)
 
     def total_wait_polls(self) -> int:
-        return sum(self.wait_polls.values())
+        return sum(self.wait_polls)
 
 
 class SteppedExecutor:
@@ -143,43 +160,45 @@ class SteppedExecutor:
         step budget is exhausted (a livelock guard for tests).
         """
         self._policy.reset()
-        stats = ThreadStats(
-            steps={tid: 0 for tid in range(len(threads))},
-            wait_polls={tid: 0 for tid in range(len(threads))},
-        )
-        alive: dict[int, ThreadProc] = dict(enumerate(threads))
-        blocked: dict[int, Callable[[], bool]] = {}
+        pick = self._policy.pick
+        steps = [0] * len(threads)
+        wait_polls = [0] * len(threads)
+        # Thread IDs, both lists always ascending; together they are
+        # the alive set. conds[tid] is set exactly while tid is blocked.
+        runnable = list(range(len(threads)))
+        blocked: list[int] = []
+        conds: list[Callable[[], bool] | None] = [None] * len(threads)
         budget = self._max_steps
 
-        while alive:
-            runnable = []
-            for tid in alive:
-                cond = blocked.get(tid)
-                if cond is None:
-                    runnable.append(tid)
-                else:
-                    stats.wait_polls[tid] += 1
-                    if cond():
-                        del blocked[tid]
-                        runnable.append(tid)
-            if not runnable:
-                waiting = sorted(blocked)
-                raise DeadlockError(
-                    f"threads {waiting} are all blocked with unsatisfiable conditions"
-                )
-            tid = self._policy.pick(runnable)
-            stats.steps[tid] += 1
+        while runnable or blocked:
+            if blocked:
+                woken = False
+                for tid in blocked:
+                    wait_polls[tid] += 1
+                    if conds[tid]():
+                        conds[tid] = None
+                        insort(runnable, tid)
+                        woken = True
+                if woken:
+                    blocked = [tid for tid in blocked if conds[tid] is not None]
+                if not runnable:
+                    raise DeadlockError(
+                        f"threads {blocked} are all blocked with unsatisfiable conditions"
+                    )
+            tid = pick(runnable)
+            steps[tid] += 1
             try:
-                yielded = alive[tid].send(None)
+                yielded = threads[tid].send(None)
             except StopIteration:
-                del alive[tid]
-                blocked.pop(tid, None)
+                runnable.remove(tid)
             else:
                 if yielded is not None:
-                    blocked[tid] = yielded
+                    runnable.remove(tid)
+                    conds[tid] = yielded
+                    insort(blocked, tid)
             budget -= 1
             if budget <= 0:
                 raise RuntimeError(
                     f"executor exceeded {self._max_steps} steps; likely livelock"
                 )
-        return stats
+        return ThreadStats(steps=steps, wait_polls=wait_polls)

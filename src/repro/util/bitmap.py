@@ -16,6 +16,8 @@ on machine words for the widths used in practice (N <= 64).
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 __all__ = ["Bitmap"]
 
 
@@ -110,6 +112,17 @@ class Bitmap:
         self._check(index)
         mask = (1 << index) - 1
         return (self._bits & mask) == mask
+
+    def all_below_condition(self, index: int) -> Callable[[], bool]:
+        """:meth:`all_below` as a zero-argument predicate for spin waits.
+
+        The range check and the mask are paid once here, so each poll
+        is a single call doing one masked compare — the bitmap word is
+        all a waiting DPA thread re-reads.
+        """
+        self._check(index)
+        mask = (1 << index) - 1
+        return lambda: self._bits & mask == mask
 
     def set_indexes(self) -> list[int]:
         """Sorted list of set bit indexes (diagnostics/tests)."""

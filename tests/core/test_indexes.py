@@ -55,7 +55,7 @@ class TestReceiveIndexes:
         found = []
         for wc, chain, pred in indexes.candidate_chains(msg):
             for descr in chain:
-                if pred(descr):
+                if pred(descr.request, msg):
                     found.append(descr)
                     break
         assert found == [d_exact, d_src, d_tag, d_both]
@@ -67,7 +67,7 @@ class TestReceiveIndexes:
         msg = MessageEnvelope(source=1, tag=2)
         for wc, chain, pred in indexes.candidate_chains(msg):
             if wc is WildcardClass.NONE:
-                assert all(not pred(d) for d in chain)
+                assert all(not pred(d.request, msg) for d in chain)
 
     def test_consume_lazy_then_sweep(self, indexes, table):
         d = post(indexes, table, 1, 2, 0)

@@ -1,12 +1,18 @@
 """Model-based property tests: the unexpected-message indexes against
-a brute-force reference model."""
+a brute-force reference model, and the receive indexes' incremental
+bookkeeping (O(1) live count, touched-chains sweep) against full scans."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import EngineConfig, OptimisticMatcher
 from repro.core.constants import ANY_SOURCE, ANY_TAG
+from repro.core.descriptor import DescriptorTable
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
-from repro.core.indexes import UnexpectedIndexes, UnexpectedMessage
+from repro.core.indexes import ReceiveIndexes, UnexpectedIndexes, UnexpectedMessage
+from repro.core.threadsim import ScriptedPolicy
+from repro.recovery.journal import checkpoint_engine, host_takeover, restore_engine
+from tests.conftest import schedules
 
 COMMON = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -99,3 +105,135 @@ class TestUnexpectedIndexesModel:
             assert indexes.source_wildcard.total_live() == count
             assert indexes.tag_wildcard.total_live() == count
             assert len(indexes.both_wildcard) == count
+
+
+def _chains(indexes: ReceiveIndexes):
+    for table in (indexes.no_wildcard, indexes.source_wildcard, indexes.tag_wildcard):
+        yield from table
+    yield indexes.both_wildcard
+
+
+def _scan_live(indexes: ReceiveIndexes) -> int:
+    return sum(len(chain) for chain in _chains(indexes))
+
+
+def _scan_marked(indexes: ReceiveIndexes) -> int:
+    return sum(chain.physical_length - len(chain) for chain in _chains(indexes))
+
+
+def _check_sweep(indexes: ReceiveIndexes) -> None:
+    """``sweep()`` visits only touched chains yet must remove exactly
+    what a scan of every chain finds marked, leaving none behind."""
+    assert indexes.total_live() == _scan_live(indexes)
+    marked = _scan_marked(indexes)
+    assert indexes.sweep() == marked
+    assert all(chain.physical_length == len(chain) for chain in _chains(indexes))
+    assert indexes.sweep() == 0
+    assert indexes.total_live() == _scan_live(indexes)
+
+
+#: ops: (kind 0-1=insert / 2=lazy consume / 3=eager consume (cancel) /
+#: 4=sweep, source, tag, wildcard_src, wildcard_tag, victim selector)
+receive_ops_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 4),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 1000),
+    ),
+    max_size=80,
+)
+
+
+class TestReceiveIndexesBookkeeping:
+    @COMMON
+    @given(ops=receive_ops_strategy, bins=st.sampled_from([1, 2, 8, 64]))
+    def test_live_count_and_sweep_match_full_scans(self, ops, bins):
+        indexes = ReceiveIndexes(bins)
+        table = DescriptorTable(256, 4)
+        live = []
+        for label, (kind, source, tag, wc_src, wc_tag, pick) in enumerate(ops):
+            if kind <= 1:
+                request = ReceiveRequest(
+                    source=ANY_SOURCE if wc_src else source,
+                    tag=ANY_TAG if wc_tag else tag,
+                )
+                descr = table.allocate(request, label, 0)
+                indexes.insert(descr)
+                live.append(descr)
+            elif kind <= 3 and live:
+                descr = live.pop(pick % len(live))
+                indexes.consume(descr, lazy=kind == 2)
+                table.release(descr)
+            elif kind == 4:
+                _check_sweep(indexes)
+            assert indexes.total_live() == len(live) == _scan_live(indexes)
+        _check_sweep(indexes)
+
+
+#: op: (kind 0-1=post / 2-4=message / 5=cancel / 6=process, source, tag,
+#: wildcard selector, cancel target)
+engine_ops_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 6),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.integers(0, 7),
+        st.integers(0, 40),
+    ),
+    max_size=80,
+)
+
+
+def _drive(engine: OptimisticMatcher, ops, first_handle: int = 0) -> None:
+    handle = first_handle
+    for seq, (kind, source, tag, wild, target) in enumerate(ops):
+        if kind <= 1:
+            engine.post_receive(
+                ReceiveRequest(
+                    source=ANY_SOURCE if wild in (5, 7) else source,
+                    tag=ANY_TAG if wild in (6, 7) else tag,
+                    handle=handle,
+                )
+            )
+            handle += 1
+        elif kind <= 4:
+            engine.submit_message(MessageEnvelope(source=source, tag=tag, send_seq=seq))
+        elif kind == 5:
+            engine.cancel_receive(target)
+        else:
+            engine.process_all()
+    engine.process_all()
+
+
+class TestEngineSweepBookkeeping:
+    @COMMON
+    @given(
+        ops=engine_ops_strategy,
+        more=engine_ops_strategy,
+        script=schedules,
+        lazy=st.booleans(),
+    )
+    def test_across_blocks_checkpoint_restore_and_takeover(self, ops, more, script, lazy):
+        config = EngineConfig(bins=4, block_threads=4, max_receives=4096, lazy_removal=lazy)
+        engine = OptimisticMatcher(config, policy=ScriptedPolicy(script))
+        _drive(engine, ops)
+        assert engine.posted_receives == _scan_live(engine.indexes)
+
+        # Takeover and checkpoint only read the engine: whatever the
+        # last blocks left marked must still be found by the sweep.
+        host = host_takeover(engine)
+        assert host.posted_count == engine.posted_receives
+        restored = restore_engine(
+            checkpoint_engine(engine), config, policy=ScriptedPolicy(script)
+        )
+        _check_sweep(engine.indexes)
+
+        # A restored generation starts clean and keeps its own books.
+        assert restored.posted_receives == engine.posted_receives
+        assert _scan_marked(restored.indexes) == 0
+        _drive(restored, more, first_handle=1000)
+        assert restored.posted_receives == _scan_live(restored.indexes)
+        _check_sweep(restored.indexes)

@@ -7,10 +7,12 @@ from repro.core.threadsim import (
     DeadlockError,
     RandomPolicy,
     RoundRobinPolicy,
+    SchedulePolicy,
     ScriptedPolicy,
     SteppedExecutor,
 )
 from tests.conftest import schedules
+from tests.core.reference_executor import ReferenceExecutor
 
 
 def worker(log, tid, steps):
@@ -137,3 +139,85 @@ class TestPolicies:
             [worker(log, t, 3) for t in range(4)]
         )
         assert len(log) == 12
+
+
+class _RecordingPolicy(SchedulePolicy):
+    """Copies every ``runnable`` it is handed, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.seen = []
+
+    def reset(self):
+        self.inner.reset()
+
+    def pick(self, runnable):
+        self.seen.append(list(runnable))
+        return self.inner.pick(runnable)
+
+
+class TestRunnableContract:
+    """``SchedulePolicy.pick`` documents that ``runnable`` is strictly
+    ascending; the incremental scheduler maintains it across blocks,
+    wakes and finishes instead of rebuilding it."""
+
+    @staticmethod
+    def _churn(width=6, rounds=4):
+        """Threads that repeatedly block on their lower neighbour's
+        progress, so the runnable set shrinks and regrows out of
+        order (a high thread can wake before a low one)."""
+        progress = [0] * width
+
+        def proc(tid):
+            for step in range(1, rounds + 1):
+                yield None
+                if tid:
+                    yield lambda step=step: progress[tid - 1] >= step
+                progress[tid] = step
+                if (tid + step) % 3 == 0:
+                    yield None  # uneven lengths: early finishers
+
+        return [proc(tid) for tid in range(width)]
+
+    def _record(self, make_inner):
+        """Every ``runnable`` handed out by the production executor,
+        checked against what the full-rescan reference hands out."""
+        policy = _RecordingPolicy(make_inner())
+        stats = SteppedExecutor(policy).run(self._churn())
+        reference_policy = _RecordingPolicy(make_inner())
+        reference = ReferenceExecutor(reference_policy).run(self._churn())
+        assert policy.seen == reference_policy.seen
+        for runnable in policy.seen:
+            assert all(a < b for a, b in zip(runnable, runnable[1:]))
+        assert stats.wait_polls == list(reference.wait_polls.values())
+        assert stats.steps == list(reference.steps.values())
+        return policy.seen
+
+    @given(schedules)
+    def test_runnable_is_ascending_and_matches_full_rescan(self, script):
+        self._record(lambda: ScriptedPolicy(script))
+
+    @pytest.mark.parametrize(
+        "make_inner",
+        [RoundRobinPolicy, lambda: RandomPolicy(3), lambda: ScriptedPolicy([5] * 400)],
+        ids=["round-robin", "random", "highest-first"],
+    )
+    def test_under_block_wake_churn(self, make_inner):
+        """Schedules that let high threads run ahead make them block
+        for many steps: the runnable set must visibly shrink and
+        regrow, or the test above proves nothing about wakes."""
+        sizes = [len(runnable) for runnable in self._record(make_inner)]
+        assert any(a < b for a, b in zip(sizes, sizes[1:]))
+        assert any(a > b for a, b in zip(sizes, sizes[1:]))
+
+    def test_round_robin_wraps_over_gaps(self):
+        """The bisecting pick must behave like the cyclic scan when the
+        last-picked thread is no longer runnable."""
+        policy = RoundRobinPolicy()
+        assert [policy.pick(r) for r in ([0, 2, 5], [0, 2, 5], [0, 5], [0, 2], [2])] == [
+            0,
+            2,
+            5,
+            0,
+            2,
+        ]
