@@ -58,9 +58,8 @@ def matching_probes(sim: MpiSim, comm) -> int:
     total = 0
     for rank in range(sim.size):
         matcher = sim.matcher_of(rank, comm)
-        engine = getattr(matcher, "_offloaded", None)
-        if engine is not None:
-            total += engine.engine.stats.buckets_probed
+        if getattr(matcher, "offloaded", False):  # not a software communicator
+            total += matcher.stats.buckets_probed
     return total
 
 

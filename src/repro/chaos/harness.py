@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 from repro.core.config import EngineConfig
-from repro.core.envelope import ANY_SOURCE, ANY_TAG, MessageEnvelope, ReceiveRequest
+from repro.core.envelope import ANY_SOURCE, ANY_TAG, ReceiveRequest
 from repro.core.faults import engine_by_name
 from repro.core.threadsim import DeadlockError
 from repro.matching.fallback import FallbackMatcher
@@ -347,39 +347,6 @@ def _identity(payload: bytes) -> str:
     return payload.rstrip(b".").decode()
 
 
-class _FallbackPipeline:
-    """Duck-type a :class:`FallbackMatcher` into the pipeline matcher
-    interface (``post_receive`` / ``submit_message`` / ``process_all``)
-    that :class:`RdmaReceiver` drives.
-
-    The software side of the fallback resolves messages immediately
-    (serial semantics); those events are buffered here and surfaced on
-    the next ``process_all`` so the receiver sees one event stream
-    regardless of which generation's engine did the matching.
-    """
-
-    def __init__(self, fallback: FallbackMatcher) -> None:
-        self.fallback = fallback
-        self._events: list = []
-
-    @property
-    def stats(self):
-        return self.fallback.stats
-
-    def post_receive(self, request: ReceiveRequest):
-        return self.fallback.post_receive(request)
-
-    def submit_message(self, msg: MessageEnvelope) -> None:
-        event = self.fallback.incoming_message(msg)
-        if event is not None:
-            self._events.append(event)
-
-    def process_all(self) -> list:
-        events, self._events = self._events, []
-        events.extend(self.fallback.flush())
-        return events
-
-
 def run_chaos(
     config: ChaosConfig,
     *,
@@ -464,9 +431,8 @@ def run_chaos(
             recorder=recorder,
         )
     elif config.fallback:
-        matcher = _FallbackPipeline(
-            FallbackMatcher(engine_config, recoverable=True, observer=observer)
-        )
+        matcher = FallbackMatcher(engine_config, recoverable=True, observer=observer)
+        matcher.set_recorder(recorder)
     elif not core_plan.is_clean:
         matcher = RecoveringMatcher(
             engine_config,
@@ -481,7 +447,7 @@ def run_chaos(
         )
     else:
         matcher = engine_cls(engine_config, observer=observer)
-        if recorder.enabled and hasattr(matcher, "set_recorder"):
+        if recorder.enabled:
             matcher.set_recorder(recorder)
     watcher = (
         DegradedWindowWatcher(tracer, matcher.stats, clock)

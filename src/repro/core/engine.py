@@ -276,6 +276,14 @@ class OptimisticMatcher:
     def pending_messages(self) -> int:
         return len(self._pending)
 
+    def take_pending(self) -> list[MessageEnvelope]:
+        """Remove and return every queued message, in arrival order
+        (stamps kept) — for a caller that will match them elsewhere,
+        e.g. on the host after a takeover. Leaves the engine settled."""
+        pending = list(self._pending)
+        self._pending.clear()
+        return pending
+
     @property
     def posted_receives(self) -> int:
         """Live (unmatched) posted receives currently indexed."""

@@ -23,11 +23,17 @@ fresh engine and offloaded matching resumes. Spills, recoveries, and
 host-matched messages are counted on the engine's
 :class:`repro.core.stats.EngineStats`, which is carried across engine
 generations so counters stay cumulative.
+
+The migrations, the guarded-block replay loop and the parked store are
+the shared mechanism of :class:`repro.recovery.supervisor.Supervisor`;
+this class decides *when* (table full, no block room in the budget,
+host PRQ drained and budget fits) and *prices* what happened: block
+cycles over the cores still alive, wasted-attempt and hang-timeout
+cycles, eviction/recall cycles, and host matching cycles.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import EngineConfig
@@ -35,18 +41,15 @@ from repro.core.descriptor import DescriptorTableFull
 from repro.core.engine import OptimisticMatcher
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
 from repro.core.events import MatchEvent, MatchKind
-from repro.core.threadsim import DeadlockError, SchedulePolicy
+from repro.core.threadsim import SchedulePolicy
 from repro.dpa.costs import DpaCostModel, HostCostModel
 from repro.dpa.memory import MemoryModel
-from repro.matching.list_matcher import ListMatcher
 from repro.obs.ledger import NULL_RECORDER, FlightRecorder
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanTracer
-from repro.recovery.faults import CoreFault, CoreFaultInjector, CoreFaultKind, CoreFaultPlan
-from repro.recovery.journal import checkpoint_engine, host_takeover, restore_engine
-from repro.recovery.quarantine import CoreQuarantine, RecoveryPolicy
-from repro.recovery.recoverer import RecoveryStats
-from repro.util.counters import MonotonicCounter
+from repro.recovery.faults import CoreFaultPlan
+from repro.recovery.quarantine import RecoveryPolicy
+from repro.recovery.supervisor import Supervisor
 
 __all__ = ["DpaMachine", "DpaRunReport"]
 
@@ -89,8 +92,7 @@ class DpaMachine:
         cores: int = BF3_CORES,
         cost_model: DpaCostModel | None = None,
         policy: SchedulePolicy | None = None,
-        keep_block_history: bool = False,
-        keep_history: bool | None = None,
+        keep_history: bool = False,
         history_limit: int | None = None,
         degrade_to_host: bool = True,
         host_costs: HostCostModel | None = None,
@@ -101,11 +103,11 @@ class DpaMachine:
         budget: "PressureBudget | None" = None,
         recorder: FlightRecorder = NULL_RECORDER,
     ) -> None:
-        """``keep_history`` (alias of the older ``keep_block_history``)
-        retains per-block history and cycle breakdowns; off by default
-        so long runs stay memory-bounded. ``history_limit`` caps the
-        retained history when it is on. ``tracer`` receives block and
-        spill->recovery spans stamped on the DPA cycle clock.
+        """``keep_history`` retains per-block history and cycle
+        breakdowns; off by default so long runs stay memory-bounded.
+        ``history_limit`` caps the retained history when it is on.
+        ``tracer`` receives block and spill->recovery spans stamped on
+        the DPA cycle clock.
 
         ``core_faults`` (optional) arms a seeded
         :class:`repro.recovery.faults.CoreFaultInjector` inside the
@@ -137,61 +139,29 @@ class DpaMachine:
         self.cores = cores
         self.costs = cost_model if cost_model is not None else DpaCostModel()
         self.host_costs = host_costs if host_costs is not None else HostCostModel()
-        self._policy = policy
-        self._keep_block_history = (
-            keep_block_history if keep_history is None else keep_history
-        )
+        self._keep_history = keep_history
         self._history_limit = history_limit
-        # The engine always records block stats (the cycle model needs
-        # each block's thread steps to cost it); when history retention
-        # is off, _drain_engine truncates right after costing, so the
-        # history never outlives one drain.
-        self.engine = OptimisticMatcher(
-            self.config, policy=policy, keep_history=True, history_limit=history_limit
-        )
         self.report = DpaRunReport()
         self.memory = MemoryModel(self.config.bins, self.config.max_receives)
-        # -- flight recorder (repro.obs.ledger) -------------------------
-        self.recorder = recorder
         if recorder.enabled:
             recorder.set_clock(self.now_us)
-            self.engine.set_recorder(recorder)
+        self.recorder = recorder
         self._tracer = tracer
         self._blocks_track = tracer.track("dpa", "blocks") if tracer.enabled else None
         self._degraded_track = (
             tracer.track("dpa", "degraded") if tracer.enabled else None
         )
+        self._recovery_track = (
+            tracer.track("dpa", "recovery")
+            if tracer.enabled and core_faults is not None
+            else None
+        )
         self._degrade_to_host = degrade_to_host
-        #: Non-None while spilled: the host-side matcher owning the
-        #: live working set.
-        self._host: ListMatcher | None = None
-        self._host_events: list[MatchEvent] = []
         #: Migrate back once the host PRQ fits this many receives.
         self._recover_threshold = self.config.max_receives // 2
-        # -- core-fault mode (repro.recovery) --------------------------
-        self.recovery_policy = recovery if recovery is not None else RecoveryPolicy()
-        self.recovery_stats = RecoveryStats()
-        self.quarantine: CoreQuarantine | None = None
-        self._injector: CoreFaultInjector | None = None
-        self._staged: deque[MessageEnvelope] = deque()
-        self._epoch = 0
-        self._host_msgs = 0
         self._replay_hist = None
-        self._recovery_track = None
-        if core_faults is not None:
-            self.quarantine = CoreQuarantine(
-                cores, repair_epochs=self.recovery_policy.repair_epochs
-            )
-            self._injector = CoreFaultInjector(
-                core_faults, active_cores=self.quarantine.active_cores
-            )
-            self.engine.fault_injector = self._injector
-            if tracer.enabled:
-                self._recovery_track = tracer.track("dpa", "recovery")
         # -- §III-E budget enforcement (repro.pressure) -----------------
         self.pressure: "PressureMeter | None" = None
-        #: Host-parked evictees (budget enforcement), arrival order.
-        self._parked: deque[MessageEnvelope] = deque()
         if enforce_budget or budget is not None:
             if core_faults is not None:
                 raise ValueError(
@@ -205,12 +175,39 @@ class DpaMachine:
                 budget = PressureBudget.from_memory_model(self.memory)
             self.pressure = PressureMeter(budget)
             self.pressure.charge_bins(self.config.bins)
-            self.engine.set_pressure(self.pressure)
+        # The engine always records block stats (the cycle model needs
+        # each block's thread steps to cost it); when history retention
+        # is off, _cost_new_blocks truncates right after costing, so the
+        # history never outlives one drain. With ``core_faults``,
+        # deliveries stage at the supervisor and blocks run guarded.
+        self._ladder = Supervisor(
+            self.config,
+            policy=policy,
+            keep_history=True,
+            history_limit=history_limit,
+            meter=self.pressure,
+            recorder=recorder,
+            core_plan=core_faults,
+            cores=cores,
+            recovery=recovery,
+            instant=self._recovery_instant if self._recovery_track is not None else None,
+        )
+        self.recovery_policy = self._ladder.recovery_policy
+        self.recovery_stats = self._ladder.recovery_stats
+        self.quarantine = self._ladder.quarantine
+
+    def _recovery_instant(self, name: str, args: dict) -> None:
+        self._tracer.instant(self._recovery_track, name, self.now_us(), args=args)
+
+    @property
+    def engine(self) -> OptimisticMatcher:
+        """The current engine generation (its ``stats`` are carried)."""
+        return self._ladder.engine
 
     @property
     def degraded(self) -> bool:
         """Whether matching is currently spilled to the host."""
-        return self._host is not None
+        return self._ladder.host is not None
 
     def now_us(self) -> float:
         """The machine's simulated clock: elapsed DPA microseconds."""
@@ -236,8 +233,8 @@ class DpaMachine:
             )
             registry.gauge(
                 f"{prefix}.parked", "unexpected entries evicted to host"
-            ).set_function(lambda: float(len(self._parked)))
-        if self._injector is not None:
+            ).set_function(lambda: float(len(self._ladder.parked)))
+        if self.quarantine is not None:
             registry.register_stats(f"{prefix}.recovery", self.recovery_stats)
             registry.gauge(
                 f"{prefix}.quarantined", "cores currently quarantined"
@@ -259,19 +256,27 @@ class DpaMachine:
         parked entry recalls it (both charged DPA cycles).
         """
         self._maybe_recover()
+        ladder = self._ladder
         if self.recorder.enabled:
             self.recorder.open_receive(
                 request.handle, source=request.source, tag=request.tag
             )
         if self.pressure is not None:
-            if self._host is None and self.pressure.under_pressure:
-                # Evict *before* searching: a just-parked entry is
-                # still found below (parked precedes resident).
-                self._relieve_budget()
-            parked = self._search_parked(request)
+            # Evict *before* searching: a just-parked entry is still
+            # found below (parked precedes resident).
+            while (
+                ladder.host is None
+                and self.pressure.under_pressure
+                and self.engine.unexpected_count
+            ):
+                self._evict("pressure")
+            parked = ladder.search_parked(request)
             if parked is not None:
-                return self._record_match(self._recall(request, parked))
-        if self._host is None:
+                # Charged first: the ledger's recall note is stamped on
+                # the cycle clock.
+                self.report.dpa_cycles += self.costs.recall_cycles
+                return self._record_match(ladder.recall(request, parked))
+        if ladder.host is None:
             try:
                 return self._record_match(self.engine.post_receive(request))
             except DescriptorTableFull:
@@ -296,15 +301,14 @@ class DpaMachine:
                     ),
                 )
             self.recorder.stamp(msg.mid, "cq")
-        if self._host is None:
-            if self._injector is not None:
-                # Guarded mode: batches form at the machine so a
-                # faulted block's messages are known for replay.
-                self._staged.append(msg)
-            else:
-                self.engine.submit_message(msg)
-            return
-        self._host_deliver(msg)
+        if self._ladder.host is not None:
+            self._host_deliver(msg)
+        elif self.quarantine is not None:
+            # Guarded mode: batches form at the supervisor so a faulted
+            # block's messages are known for replay.
+            self._ladder.staged.append(msg)
+        else:
+            self.engine.submit_message(msg)
 
     def run(self) -> list[MatchEvent]:
         """Process all pending messages, charging DPA time per block.
@@ -313,13 +317,11 @@ class DpaMachine:
         returned here too, interleaved before the current backlog, so
         callers see one stream regardless of where matching ran.
         """
-        events, self._host_events = self._host_events, []
+        events = self._ladder.drain_events()
         events.extend(self._drain_engine())
-        if self._host_events:
-            # A mid-drain takeover routed the remaining backlog to the
-            # host; surface those events in this run, not the next.
-            events.extend(self._host_events)
-            self._host_events = []
+        # A mid-drain takeover routed the remaining backlog to the
+        # host; surface those events in this run, not the next.
+        events.extend(self._ladder.drain_events())
         self.report.dpa_seconds = self.costs.cycles_to_seconds(self.report.dpa_cycles)
         return events
 
@@ -336,39 +338,37 @@ class DpaMachine:
             self.recorder.close_receive(event.receive.handle, mid)
         return event
 
-    # -- degraded mode ------------------------------------------------
+    # -- draining and costing -------------------------------------------
 
     def _drain_engine(self) -> list[MatchEvent]:
         """Run the engine until idle, charging DPA time per block."""
         events: list[MatchEvent] = []
-        if self._injector is not None:
-            while self._staged:
-                if self._host is not None:
-                    while self._staged:
-                        self._host_deliver(self._staged.popleft())
-                    break
-                width = self.config.block_threads
-                batch = [
-                    self._staged.popleft()
-                    for _ in range(min(width, len(self._staged)))
-                ]
+        ladder = self._ladder
+        if self.quarantine is not None:
+            for batch in ladder.guarded_batches():
                 events.extend(self._guarded_block(batch))
+            while ladder.staged:
+                self._host_deliver(ladder.staged.popleft())
             return events
         while self.engine.pending_messages:
             if self.pressure is not None and not self._reserve_block_room():
                 # Even a fully-evicted unexpected store leaves no room
                 # for the next block's stores: the budget cannot hold
-                # this working set. The host adopts it (§III-E).
-                self._budget_takeover()
+                # this working set. The host adopts it (§III-E), and
+                # the remaining message backlog with it.
+                backlog = self.engine.take_pending()
+                ladder.take_over("budget")
+                self._begin_degraded("takeover", budget=True)
+                for msg in backlog:
+                    self._host_deliver(msg)
                 break
             start = len(self.engine.stats.block_history)
             block_events = self.engine.process_block()
             self._cost_new_blocks(start)
-            if self.recorder.enabled:
-                # Completion is stamped *after* costing so the ledger
-                # sees the block's end-of-span clock.
-                for event in block_events:
-                    self._record_match(event)
+            # Completion is stamped *after* costing so the ledger sees
+            # the block's end-of-span clock.
+            for event in block_events:
+                self._record_match(event)
             events.extend(block_events)
         return events
 
@@ -387,7 +387,7 @@ class DpaMachine:
             self.report.blocks += 1
             self.report.messages += block.messages
             self.report.dpa_cycles += cycles
-            if self._keep_block_history:
+            if self._keep_history:
                 self.report.per_block_cycles.append(cycles)
                 if (
                     self._history_limit is not None
@@ -418,274 +418,91 @@ class DpaMachine:
                         self.now_us(),
                         args={"count": block.slow_path},
                     )
-        if not self._keep_block_history:
+        if not self._keep_history:
             # History was only needed to cost the new blocks.
             del self.engine.stats.block_history[start:]
         return charged
 
+    def _guarded_block(self, batch: list[MessageEnvelope]) -> list[MatchEvent]:
+        """One staged batch to completion under the fault injector,
+        then cost the surviving attempt and what the aborted ones
+        wasted."""
+        start = len(self.engine.stats.block_history)
+        run = self._ladder.run_guarded(batch)
+        if run.events is None:
+            # Too many dead cores (or an unkillable batch): the batch
+            # is matched on the host instead.
+            self._begin_degraded("takeover", takeover=True, dead=self.quarantine.count)
+            for msg in batch:
+                self._host_deliver(msg)
+            return []
+        block_cycles = self._cost_new_blocks(start)
+        if run.attempts > 1:
+            # Each aborted attempt burned about one block's work on
+            # the then-alive cores; hangs additionally sat out the
+            # stall watchdog's timeout before detection.
+            wasted = (
+                (run.attempts - 1) * block_cycles
+                + run.hangs * self.recovery_policy.hang_timeout_cycles
+            )
+            self.report.dpa_cycles += wasted
+            self.report.replay_cycles += wasted
+            self.report.replayed_blocks += 1
+            if self._replay_hist is not None:
+                self._replay_hist.observe(wasted)
+            if self._recovery_track is not None:
+                self._recovery_instant(
+                    "replayed", {"attempts": run.attempts, "wasted_cycles": wasted}
+                )
+        for event in run.events:
+            self._record_match(event)
+        return run.events
+
     # -- §III-E budget enforcement (repro.pressure) ---------------------
+
+    def _evict(self, cause: str) -> None:
+        """Park the oldest unexpected entry on the host. Charged first:
+        the ledger's ``parked`` stamp is on the cycle clock."""
+        self.report.dpa_cycles += self.costs.eviction_cycles
+        self._ladder.evict_oldest(cause=cause)
 
     def _reserve_block_room(self) -> bool:
         """Make headroom for the next block's worst case (every message
         stores unexpected), evicting cold entries as needed. Returns
         whether the block can run within budget."""
-        assert self.pressure is not None
         from repro.pressure.budget import UNEXPECTED_HEADER_BYTES
 
         width = min(self.engine.pending_messages, self.config.block_threads)
         need = UNEXPECTED_HEADER_BYTES * width
         while self.pressure.headroom() < need and self.engine.unexpected_count:
-            envelope = self.engine.evict_oldest_unexpected()
-            if envelope is None:  # pragma: no cover - count guards
-                break
-            self._parked.append(envelope)
-            self.pressure.stats.evictions += 1
-            self.report.dpa_cycles += self.costs.eviction_cycles
-            if self.recorder.enabled:
-                self.recorder.stamp(envelope.mid, "parked", cause="block-room")
+            self._evict("block-room")
         return self.pressure.headroom() >= need
 
-    def _budget_takeover(self) -> None:
-        """The budget cannot hold the next block: the host adopts the
-        working set *and* the remaining message backlog."""
-        assert self.pressure is not None and self._host is None
-        pending = list(self.engine._pending)
-        self.engine._pending.clear()
-        self._host = host_takeover(self.engine)
-        self.engine.stats.fallback_spills += 1
-        self.pressure.stats.takeovers += 1
-        self.pressure.release_all("descriptors")
-        self.pressure.release_all("unexpected")
-        if self.recorder.enabled:
-            self.recorder.event("takeover", reason="budget")
+    # -- degraded mode --------------------------------------------------
+
+    def _begin_degraded(self, mark: str, **args) -> None:
         if self._degraded_track is not None:
             self._tracer.begin(
-                self._degraded_track,
-                "degraded",
-                self.now_us(),
-                args={"budget": True},
+                self._degraded_track, "degraded", self.now_us(), args=args
             )
-            self._tracer.instant(self._degraded_track, "takeover", self.now_us())
-        for msg in pending:
-            self._host_deliver(msg)
-
-    def _relieve_budget(self) -> None:
-        """Evict cold unexpected entries until out of the pressured
-        band (or the store empties), charging DPA cycles per evictee."""
-        assert self.pressure is not None
-        while self.pressure.under_pressure and self.engine.unexpected_count:
-            envelope = self.engine.evict_oldest_unexpected()
-            if envelope is None:  # pragma: no cover - count guards
-                break
-            self._parked.append(envelope)
-            self.pressure.stats.evictions += 1
-            self.report.dpa_cycles += self.costs.eviction_cycles
-            if self.recorder.enabled:
-                self.recorder.stamp(envelope.mid, "parked", cause="pressure")
-
-    def _search_parked(self, request: ReceiveRequest) -> MessageEnvelope | None:
-        for envelope in self._parked:
-            if request.matches(envelope):
-                return envelope
-        return None
-
-    def _recall(self, request: ReceiveRequest, envelope: MessageEnvelope) -> MatchEvent:
-        """Drain a host-parked evictee into a matching post. Parked
-        entries are strictly older than anything resident (eviction
-        always takes the oldest), so recalling before the engine's own
-        search preserves C2 across the eviction boundary."""
-        self._parked.remove(envelope)
-        self.pressure.stats.recalls += 1
-        self.report.dpa_cycles += self.costs.recall_cycles
-        if self.recorder.enabled:
-            self.recorder.note(envelope.mid, "recall")
-        self.engine.stats.receives_posted += 1
-        self.engine.stats.receives_matched_from_unexpected += 1
-        decisions = self.engine.decisions if self._host is None else self._host.decisions
-        return MatchEvent(
-            kind=MatchKind.UNEXPECTED_DRAIN,
-            message=envelope,
-            receive=request,
-            receive_post_label=None,
-            decision_order=decisions.next(),
-        )
-
-    # -- core-fault recovery (repro.recovery) --------------------------
-
-    def _guarded_block(self, batch: list[MessageEnvelope]) -> list[MatchEvent]:
-        """One staged batch to completion under the fault injector:
-        checkpoint -> attempt -> (quarantine + rollback + replay, or
-        takeover past the threshold) -> cost the surviving attempt."""
-        rs = self.recovery_stats
-        policy = self.recovery_policy
-        attempts = 0
-        hang_cycles = 0.0
-        marks: list[tuple[int, int]] = []
-        while True:
-            self._advance_epoch()
-            checkpoint = checkpoint_engine(self.engine)
-            if self.recorder.enabled:
-                # Speculation fence: stamps from an aborted attempt are
-                # rewound so only the surviving attempt's remain.
-                marks = [(msg.mid, self.recorder.mark(msg.mid)) for msg in batch]
-            for msg in batch:
-                self.engine.submit_message(msg)
-            attempts += 1
-            start = len(self.engine.stats.block_history)
-            try:
-                events = self.engine.process_block()
-            except (CoreFault, DeadlockError):
-                fault = self._injector.take_armed()
-                if fault is None:
-                    raise  # genuine engine bug — never mask it
-                self._note_core_fault(fault)
-                if fault.kind is CoreFaultKind.HANG:
-                    hang_cycles += policy.hang_timeout_cycles
-                self.engine = restore_engine(
-                    checkpoint,
-                    self.config,
-                    policy=self._policy,
-                    stats=self.engine.stats,
-                    fault_injector=self._injector,
-                    history_limit=self._history_limit,
-                )
-                if self.recorder.enabled:
-                    self.engine.set_recorder(self.recorder)
-                    for mid, mark in marks:
-                        self.recorder.rewind(mid, mark)
-                        self.recorder.note(
-                            mid,
-                            "rollback",
-                            epoch=self._epoch,
-                            attempt=attempts,
-                            fault=fault.kind.value,
-                        )
-                rs.block_rollbacks += 1
-                if (
-                    self.quarantine.count > policy.quarantine_threshold
-                    or attempts >= policy.max_replays_per_block
-                ):
-                    self._core_takeover(batch)
-                    return []
-                rs.blocks_replayed += 1
-                rs.replay_messages += len(batch)
-                continue
-            block_cycles = self._cost_new_blocks(start)
-            if attempts > 1 or hang_cycles:
-                # Each aborted attempt burned about one block's work on
-                # the then-alive cores; hangs additionally sat out the
-                # stall watchdog's timeout before detection.
-                wasted = (attempts - 1) * block_cycles + hang_cycles
-                self.report.dpa_cycles += wasted
-                self.report.replay_cycles += wasted
-                self.report.replayed_blocks += 1
-                rs.blocks_recovered += 1
-                if self._replay_hist is not None:
-                    self._replay_hist.observe(wasted)
-                if self._recovery_track is not None:
-                    self._tracer.instant(
-                        self._recovery_track,
-                        "replayed",
-                        self.now_us(),
-                        args={"attempts": attempts, "wasted_cycles": wasted},
-                    )
-            if self.recorder.enabled:
-                for event in events:
-                    self._record_match(event)
-            return events
-
-    def _note_core_fault(self, fault) -> None:
-        rs = self.recovery_stats
-        if fault.kind is CoreFaultKind.FAIL_STOP:
-            rs.core_fail_stops += 1
-        elif fault.kind is CoreFaultKind.HANG:
-            rs.core_hangs += 1
-        else:
-            rs.core_bit_flips += 1
-        if self._recovery_track is not None:
-            self._tracer.instant(
-                self._recovery_track,
-                f"fault:{fault.kind.value}",
-                self.now_us(),
-                args={"core": fault.core, "thread": fault.thread},
-            )
-        if fault.kind is not CoreFaultKind.BIT_FLIP:
-            self.quarantine.quarantine(fault.core, self._epoch)
-            rs.cores_quarantined += 1
-            if self._recovery_track is not None:
-                self._tracer.instant(
-                    self._recovery_track,
-                    "quarantine",
-                    self.now_us(),
-                    args={"core": fault.core, "dead": self.quarantine.count},
-                )
-
-    def _advance_epoch(self) -> None:
-        self._epoch += 1
-        repaired = self.quarantine.repair_due(self._epoch)
-        if repaired:
-            self.recovery_stats.core_repairs += len(repaired)
-            if self._recovery_track is not None:
-                self._tracer.instant(
-                    self._recovery_track,
-                    "repair",
-                    self.now_us(),
-                    args={"cores": repaired, "dead": self.quarantine.count},
-                )
-
-    def _core_takeover(self, batch: list[MessageEnvelope]) -> None:
-        """Too many dead cores (or an unkillable batch): the host list
-        matcher adopts the (post-rollback, settled) working set via the
-        same migration the descriptor spill path uses."""
-        self._host = host_takeover(self.engine)
-        self.engine.stats.fallback_spills += 1
-        self.recovery_stats.host_takeovers += 1
-        if self.recorder.enabled:
-            self.recorder.event(
-                "takeover", reason="core-faults", dead=self.quarantine.count
-            )
-        if self._degraded_track is not None:
-            self._tracer.begin(
-                self._degraded_track,
-                "degraded",
-                self.now_us(),
-                args={"takeover": True, "dead": self.quarantine.count},
-            )
-            self._tracer.instant(self._degraded_track, "takeover", self.now_us())
-        for msg in batch:
-            self._host_deliver(msg)
+            self._tracer.instant(self._degraded_track, mark, self.now_us())
 
     def _spill(self) -> None:
         """Descriptor table full: migrate the working set to the host."""
         # Settle buffered messages first so the exported state is the
         # engine's final word; their events still surface via run().
-        self._host_events.extend(self._drain_engine())
-        if self._host is not None:
+        self._ladder.events.extend(self._drain_engine())
+        if self._ladder.host is not None:
             # A core takeover during the drain already migrated.
             return
-        self._host = host_takeover(self.engine)
-        self.engine.stats.fallback_spills += 1
-        if self.recorder.enabled:
-            self.recorder.event("takeover", reason="descriptor-spill")
-        if self.pressure is not None:
-            # The working set now lives in host memory: its charges
-            # leave the accelerator wholesale.
-            self.pressure.stats.takeovers += 1
-            self.pressure.release_all("descriptors")
-            self.pressure.release_all("unexpected")
-        if self._degraded_track is not None:
-            self._tracer.begin(
-                self._degraded_track,
-                "degraded",
-                self.now_us(),
-                args={"spill": self.engine.stats.fallback_spills},
-            )
-            self._tracer.instant(self._degraded_track, "spill", self.now_us())
+        self._ladder.take_over("descriptor-spill")
+        self._begin_degraded("spill", spill=self.engine.stats.fallback_spills)
 
     def _maybe_recover(self) -> None:
         """Migrate back to the accelerator once the host set drained
         (and, in core-fault mode, once enough cores repaired)."""
-        if self._host is None or self._host.posted_count > self._recover_threshold:
+        host = self._ladder.host
+        if host is None or host.posted_count > self._recover_threshold:
             return
         if (
             self.quarantine is not None
@@ -694,79 +511,47 @@ class DpaMachine:
             return  # the accelerator is still not trustworthy
         if self.pressure is not None and not self._budget_fits_recovery():
             return  # the budget cannot absorb the returning set yet
-        receives, unexpected = self._host.export_state()
-        fresh = OptimisticMatcher(
-            self.config,
-            policy=self._policy,
-            keep_history=True,
-            history_limit=self._history_limit,
-        )
-        # Carry the cumulative stats object across engine generations.
-        fresh.stats = self.engine.stats
-        fresh.decisions = MonotonicCounter(self._host.decisions.peek())
-        fresh.fault_injector = self._injector
-        if self.pressure is not None:
-            # Install the meter *before* import so the migrated state
-            # is re-charged by the import hooks.
-            fresh.set_pressure(self.pressure)
-        if self.recorder.enabled:
-            fresh.set_recorder(self.recorder)
-            self.recorder.event("reoffload")
-        fresh.import_state(receives, unexpected)
-        self.engine = fresh
-        self._host = None
-        self.engine.stats.fallback_recoveries += 1
-        if self.pressure is not None:
-            self.pressure.stats.reoffloads += 1
-        if self._injector is not None:
-            self.recovery_stats.reoffloads += 1
+        self._ladder.reoffload()
         if self._degraded_track is not None:
             self._tracer.instant(self._degraded_track, "recovery", self.now_us())
             self._tracer.end(self._degraded_track, self.now_us())
 
     def _budget_fits_recovery(self) -> bool:
-        assert self._host is not None and self.pressure is not None
         if self.pressure.under_pressure:  # pragma: no cover - spilled set
             return False
         from repro.core.descriptor import DESCRIPTOR_BYTES
         from repro.pressure.budget import UNEXPECTED_HEADER_BYTES
 
+        host = self._ladder.host
         need = (
-            self._host.posted_count * DESCRIPTOR_BYTES
-            + self._host.unexpected_count * UNEXPECTED_HEADER_BYTES
+            host.posted_count * DESCRIPTOR_BYTES
+            + host.unexpected_count * UNEXPECTED_HEADER_BYTES
         )
         return self.pressure.would_fit(need)
 
     def _host_post(self, request: ReceiveRequest) -> MatchEvent | None:
-        assert self._host is not None
-        before = self._host.costs.walked
-        event = self._host.post_receive(request)
-        walked = self._host.costs.walked - before
+        host = self._ladder.host
+        before = host.costs.walked
+        event = host.post_receive(request)
+        walked = host.costs.walked - before
         self.report.host_matching_cycles += (
             self.host_costs.per_post_overhead + walked * self.host_costs.chain_walk
         )
         return event
 
     def _host_deliver(self, msg: MessageEnvelope) -> None:
-        assert self._host is not None
-        before = self._host.costs.walked
-        event = self._host.incoming_message(msg)
-        walked = self._host.costs.walked - before
-        stored = 1 if event.kind is MatchKind.STORED_UNEXPECTED else 0
+        ladder = self._ladder
+        before = ladder.host.costs.walked
+        event = ladder.host_deliver(msg)
+        walked = ladder.host.costs.walked - before
+        stored = event.kind is MatchKind.STORED_UNEXPECTED
         self.report.host_matching_cycles += self.host_costs.matching_cycles(
-            1, walked, unexpected=stored
+            1, walked, unexpected=int(stored)
         )
         self.report.host_messages += 1
-        self.engine.stats.degraded_matches += 1
-        if self.recorder.enabled:
-            if event.kind is MatchKind.STORED_UNEXPECTED:
+        if stored:
+            if self.recorder.enabled:
                 self.recorder.stamp(msg.mid, "umq", host=True)
-            else:
-                self._record_match(event)
-        self._host_events.append(event)
-        if self._injector is not None:
-            # Host traffic still advances repair time, one epoch per
-            # block-equivalent of messages.
-            self._host_msgs += 1
-            if self._host_msgs % self.config.block_threads == 0:
-                self._advance_epoch()
+        else:
+            self._record_match(event)
+        ladder.events.append(event)

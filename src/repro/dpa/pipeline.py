@@ -64,16 +64,18 @@ class OffloadedEndpoint:
         # History retention is managed here, after costing, so the
         # engine itself stays unbounded (a limit applied inside absorb
         # could trim blocks before they were costed).
+        self._recoverer: RecoveringMatcher | None = None
         if core_faults is not None:
-            self.matcher: RecoveringMatcher | OptimisticMatcher = RecoveringMatcher(
+            self._recoverer = RecoveringMatcher(
                 self.config,
                 cores=cores,
                 core_plan=core_faults,
                 recovery=recovery,
                 keep_history=True,
             )
-        else:
-            self.matcher = OptimisticMatcher(self.config, keep_history=True)
+        self.matcher: RecoveringMatcher | OptimisticMatcher = (
+            self._recoverer or OptimisticMatcher(self.config, keep_history=True)
+        )
         self.receiver = RdmaReceiver(qp, self.matcher)
         self.costs = cost_model if cost_model is not None else DpaCostModel()
         self.cores = cores
@@ -85,12 +87,12 @@ class OffloadedEndpoint:
     @property
     def engine(self) -> OptimisticMatcher:
         """The current engine generation (changes across rollbacks)."""
-        return getattr(self.matcher, "engine", self.matcher)
+        return self.matcher if self._recoverer is None else self._recoverer.engine
 
     @property
     def recovery_stats(self):
         """Recovery accounting, or None without ``core_faults``."""
-        return getattr(self.matcher, "recovery_stats", None)
+        return None if self._recoverer is None else self._recoverer.recovery_stats
 
     # -- MPI-facing surface --------------------------------------------
 
@@ -118,9 +120,8 @@ class OffloadedEndpoint:
         # this history is cumulative even under rollback/recovery.
         history = self.matcher.stats.block_history
         alive = self.cores
-        quarantine = getattr(self.matcher, "quarantine", None)
-        if quarantine is not None:
-            alive = max(1, self.cores - quarantine.count)
+        if self._recoverer is not None:
+            alive = max(1, self.cores - self._recoverer.quarantine.count)
         while self._blocks_costed < len(history):
             block = history[self._blocks_costed]
             self.dpa_cycles += self.costs.block_cycles(block, alive)

@@ -1,12 +1,15 @@
 """Software tag-matching fallback (§III-B, §III-E).
 
 "If the number of posted receives exceeds this capacity, the
-application must fall back to software tag matching." The controller
-wraps an optimistic engine and a host-side linked-list matcher: when
+application must fall back to software tag matching." This front-end
+of the degradation ladder (:mod:`repro.recovery.supervisor`) drives an
+optimistic engine through the serial :class:`Matcher` interface: when
 the descriptor table overflows (or DPA memory cannot be allocated at
 communicator creation, §III-E), the live state — posted receives in
 posting order and unexpected messages in arrival order — migrates to
-the software matcher and all further traffic is handled there.
+a host-side linked-list matcher and all further traffic is handled
+there. Its policy is the takeover trigger (table full) and the gate
+back; the migrations themselves are the supervisor's.
 
 Two recovery policies are offered:
 
@@ -33,14 +36,13 @@ from __future__ import annotations
 
 from repro.core.config import EngineConfig
 from repro.core.descriptor import DescriptorTableFull
+from repro.core.engine import OptimisticMatcher
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
 from repro.core.events import MatchEvent
 from repro.core.stats import EngineStats
 from repro.core.threadsim import SchedulePolicy
 from repro.matching.base import Matcher
-from repro.matching.list_matcher import ListMatcher
-from repro.matching.optimistic_adapter import OptimisticAdapter
-from repro.util.counters import MonotonicCounter
+from repro.recovery.supervisor import Supervisor
 
 __all__ = ["FallbackMatcher"]
 
@@ -58,158 +60,97 @@ class FallbackMatcher(Matcher):
         comm: int = 0,
         recoverable: bool = False,
         observer=None,
-        pressure=None,
     ) -> None:
         """``observer`` is installed on every engine generation (the
         initial one and each post-recovery engine), so tracing hooks
-        survive spill/recovery migrations. ``pressure`` (optional, a
-        :class:`repro.pressure.budget.PressureMeter`) is likewise
-        installed on every generation: descriptor and unexpected
-        charges follow the live engine, are released wholesale when the
-        working set spills to the host, and are re-charged by
-        ``import_state`` when it migrates back — and recovery is
-        additionally gated on the meter being out of its pressured
-        state."""
+        survive spill/recovery migrations."""
         super().__init__()
-        self._config = config if config is not None else EngineConfig()
-        self._policy = policy
-        self._comm = comm
+        config = config if config is not None else EngineConfig()
         self._recoverable = recoverable
-        self._observer = observer
-        self.pressure = pressure
-        self._offloaded: OptimisticAdapter | None = OptimisticAdapter(
-            self._config, policy=policy, comm=comm, observer=observer
-        )
-        if pressure is not None:
-            self._offloaded.engine.set_pressure(pressure)
-        self._software = ListMatcher()
-        self._carried_events: list[MatchEvent] = []
+        self._ladder = Supervisor(config, policy=policy, comm=comm, observer=observer)
         #: One stats object carried across every engine generation.
-        self.stats: EngineStats = self._offloaded.engine.stats
+        self.stats: EngineStats = self._ladder.stats
         self.fallback_events = 0
         #: Migrate back once the software PRQ fits this many receives.
-        self._recover_threshold = self._config.max_receives // 2
+        self._recover_threshold = config.max_receives // 2
+
+    def set_recorder(self, recorder) -> None:
+        """Install a flight recorder on every engine generation."""
+        self._ladder.set_recorder(recorder)
+
+    @property
+    def engine(self) -> OptimisticMatcher:
+        """The current engine generation (stale while in software)."""
+        return self._ladder.engine
 
     @property
     def offloaded(self) -> bool:
         """Whether matching is currently running on the (simulated) DPA."""
-        return self._offloaded is not None
+        return self._ladder.host is None
 
     @property
     def posted_count(self) -> int:
-        active = self._offloaded if self._offloaded is not None else self._software
-        return active.posted_count
+        return self._ladder.posted_count
 
     @property
     def unexpected_count(self) -> int:
-        active = self._offloaded if self._offloaded is not None else self._software
-        return active.unexpected_count
+        return self._ladder.unexpected_count
 
-    def _migrate(self) -> None:
-        """Move live engine state into the software matcher."""
-        assert self._offloaded is not None
-        # Process anything still buffered (and collect its events)
-        # before snapshotting state — migration must observe a settled
-        # engine.
-        self._carried_events.extend(self._offloaded.flush())
-        # Imported lazily: repro.recovery drives matchers from this
-        # package, so a top-level import would cycle.
-        from repro.recovery.journal import host_takeover
-
-        host_takeover(self._offloaded.engine, self._software)
-        self._offloaded = None
-        self.fallback_events += 1
-        self.stats.fallback_spills += 1
-        if self.pressure is not None:
-            # The working set now lives in host memory: its descriptor
-            # and UMQ-header charges leave the accelerator wholesale.
-            self.pressure.release_all("descriptors")
-            self.pressure.release_all("unexpected")
-
-    def force_spill(self) -> bool:
-        """Escalate to the host unconditionally (sustained memory
-        pressure, §III-E enforcement). Returns True when a migration
-        happened, False when matching was already in software."""
-        if self._offloaded is None:
-            return False
-        self._migrate()
-        if self.pressure is not None:
-            self.pressure.stats.takeovers += 1
-        return True
-
-    def _recover(self) -> None:
-        """Migrate the (now small) software working set back onto a
-        fresh engine: the degraded episode is over."""
-        assert self._offloaded is None
-        receives, unexpected = self._software.export_state()
-        adapter = OptimisticAdapter(
-            self._config,
-            policy=self._policy,
-            comm=self._comm,
-            observer=self._observer,
-        )
-        # Carry the cumulative stats object across engine generations.
-        adapter.engine.stats = self.stats
-        adapter.engine.decisions = MonotonicCounter(self._software.decisions.peek())
-        if self.pressure is not None:
-            # Install the meter *before* import so the migrated state
-            # is re-charged by the import hooks.
-            adapter.engine.set_pressure(self.pressure)
-        adapter.engine.import_state(receives, unexpected)
-        self._offloaded = adapter
-        self._software = ListMatcher()
-        self.stats.fallback_recoveries += 1
-        if self.pressure is not None:
-            self.pressure.stats.reoffloads += 1
-
-    def _reoffload_fits(self) -> bool:
-        """Whether the budget can absorb the software working set (and
-        is out of its pressured band) — the meter-side recovery gate."""
-        if self.pressure is None:
-            return True
-        if self.pressure.under_pressure:
-            return False
-        from repro.pressure.budget import UNEXPECTED_HEADER_BYTES
-
-        from repro.core.descriptor import DESCRIPTOR_BYTES
-
-        need = (
-            self._software.posted_count * DESCRIPTOR_BYTES
-            + self._software.unexpected_count * UNEXPECTED_HEADER_BYTES
-        )
-        return self.pressure.would_fit(need)
+    def queue_depths(self) -> dict[str, float]:
+        return self._ladder.queue_depths()
 
     def _maybe_recover(self) -> None:
+        host = self._ladder.host
         if (
             self._recoverable
-            and self._offloaded is None
-            and self._software.posted_count <= self._recover_threshold
-            and self._reoffload_fits()
+            and host is not None
+            and host.posted_count <= self._recover_threshold
         ):
-            self._recover()
+            self._ladder.reoffload(reason="descriptor-spill")
 
     def post_receive(self, request: ReceiveRequest) -> MatchEvent | None:
         self.costs.posts += 1
         self._maybe_recover()
-        if self._offloaded is not None:
+        ladder = self._ladder
+        if ladder.host is None:
+            # A post is a host->DPA QP command; the DPA drains the
+            # completion queue before handling it, so the unexpected
+            # store the post sees is up to date (and a takeover below
+            # observes a settled engine).
+            ladder.events.extend(ladder.engine.process_all())
             try:
-                return self._offloaded.post_receive(request)
+                return ladder.engine.post_receive(request)
             except DescriptorTableFull:
-                self._migrate()
-        return self._software.post_receive(request)
+                ladder.take_over("descriptor-spill")
+                self.fallback_events += 1
+        return ladder.host.post_receive(request)
 
     def incoming_message(self, msg: MessageEnvelope) -> MatchEvent | None:
         self.costs.messages += 1
         self._maybe_recover()
-        if self._offloaded is not None:
-            return self._offloaded.incoming_message(msg)
-        self.stats.degraded_matches += 1
-        return self._software.incoming_message(msg)
+        ladder = self._ladder
+        if ladder.host is not None:
+            return ladder.host_deliver(msg)
+        engine = ladder.engine
+        engine.submit_message(msg)
+        if engine.pending_messages >= engine.config.block_threads:
+            ladder.events.extend(engine.process_block())
+        return None
 
     def flush(self) -> list[MatchEvent]:
-        events, self._carried_events = self._carried_events, []
-        if self._offloaded is not None:
-            events.extend(self._offloaded.flush())
-        else:
-            events.extend(self._software.flush())
+        events = self._ladder.drain_events()
+        if self._ladder.host is None:
+            events.extend(self._ladder.engine.process_all())
         return events
+
+    # -- the pipeline surface RdmaReceiver drives ------------------------
+
+    def submit_message(self, msg: MessageEnvelope) -> None:
+        """Like :meth:`incoming_message`, but a host-resolved event is
+        held for the next :meth:`process_all`, so the receiver sees one
+        event stream whichever side did the matching."""
+        event = self.incoming_message(msg)
+        if event is not None:
+            self._ladder.events.append(event)
+
+    process_all = flush

@@ -22,14 +22,10 @@ __all__ = ["OptimisticAdapter"]
 class OptimisticAdapter(Matcher):
     """Drive the optimistic engine with a serial op stream.
 
-    ``eager_blocks`` controls when buffered messages are matched:
-
-    * ``True`` (default): a block runs as soon as N messages queue up,
-      and any posting of a receive first flushes pending messages —
-      this keeps decisions identical to a serial matcher's, because a
-      post never observes a stale unexpected store.
-    * ``False``: blocks run only on explicit :meth:`flush`; callers
-      must not interleave posts with buffered messages.
+    A block runs as soon as N messages queue up, and any posting of a
+    receive first flushes pending messages — this keeps decisions
+    identical to a serial matcher's, because a post never observes a
+    stale unexpected store.
     """
 
     name = "optimistic"
@@ -39,7 +35,6 @@ class OptimisticAdapter(Matcher):
         config: EngineConfig | None = None,
         *,
         policy: SchedulePolicy | None = None,
-        eager_blocks: bool = True,
         comm: int = 0,
         observer=None,
         engine_cls: type[OptimisticMatcher] = OptimisticMatcher,
@@ -49,7 +44,6 @@ class OptimisticAdapter(Matcher):
         broken variants from :mod:`repro.core.faults` here."""
         super().__init__()
         self.engine = engine_cls(config, policy=policy, comm=comm, observer=observer)
-        self._eager = eager_blocks
         self._emitted: list[MatchEvent] = []
 
     @property
@@ -62,17 +56,16 @@ class OptimisticAdapter(Matcher):
 
     def post_receive(self, request: ReceiveRequest) -> MatchEvent | None:
         self.costs.posts += 1
-        if self._eager:
-            # A post is a host->DPA QP command; the DPA drains the
-            # completion queue before handling it, so the unexpected
-            # store the post sees is up to date.
-            self._emitted.extend(self.engine.process_all())
+        # A post is a host->DPA QP command; the DPA drains the
+        # completion queue before handling it, so the unexpected
+        # store the post sees is up to date.
+        self._emitted.extend(self.engine.process_all())
         return self.engine.post_receive(request)
 
     def incoming_message(self, msg: MessageEnvelope) -> MatchEvent | None:
         self.costs.messages += 1
         self.engine.submit_message(msg)
-        if self._eager and self.engine.pending_messages >= self.engine.config.block_threads:
+        if self.engine.pending_messages >= self.engine.config.block_threads:
             self._emitted.extend(self.engine.process_block())
         return None
 

@@ -303,15 +303,6 @@ class NullSampler(TimelineSampler):
 NULL_SAMPLER = NullSampler()
 
 
-def _first_attr(obj: object, *names: str) -> float:
-    """The first present numeric attribute of ``obj`` (else 0)."""
-    for name in names:
-        value = getattr(obj, name, None)
-        if value is not None:
-            return float(value)
-    return 0.0
-
-
 def install_stack_probes(
     sampler: TimelineSampler,
     *,
@@ -327,8 +318,9 @@ def install_stack_probes(
 
     Mirrors :func:`repro.obs.hooks.register_stack_metrics`, but as
     live gauges: every reader resolves its object *at sample time*, so
-    matcher wrappers that swap engines underneath (fallback, recovery,
-    pressure) keep reporting the live generation's queues. Series:
+    matcher front-ends that swap engines underneath (fallback,
+    recovery, pressure) keep reporting the live generation's queues
+    (the host matcher's while degraded). Series:
 
     ``engine.prq_depth`` / ``engine.umq_depth`` / ``engine.pending``
         Posted-receive, unexpected-queue, and ingress-queue depths.
@@ -348,29 +340,10 @@ def install_stack_probes(
     """
     p = f"{prefix}." if prefix else ""
     if matcher is not None:
-
-        def engine_of():
-            # Wrapper pipelines expose the live engine generation as
-            # ``.engine`` (pressure, recovery) or ``.fallback`` (the
-            # chaos harness's fallback adapter); a bare engine is its
-            # own generation.
-            inner = getattr(matcher, "engine", None)
-            if inner is None:
-                inner = getattr(matcher, "fallback", matcher)
-            return inner
-
-        def depths() -> dict[str, float]:
-            inner = engine_of()
-            fn = getattr(inner, "queue_depths", None)
-            if fn is not None:
-                return fn()
-            return {
-                "prq": _first_attr(inner, "posted_receives", "posted_count"),
-                "umq": _first_attr(inner, "unexpected_count"),
-                "pending": _first_attr(inner, "pending_messages"),
-                "prq_max_bin": 0.0,
-                "umq_max_bin": 0.0,
-            }
+        # Every matcher the stack drives answers ``queue_depths()`` for
+        # whatever owns its working set *now* — the live engine
+        # generation, or the host matcher while degraded.
+        depths = matcher.queue_depths
 
         sampler.add_probe(f"{p}engine.prq_depth", lambda: depths()["prq"])
         sampler.add_probe(f"{p}engine.umq_depth", lambda: depths()["umq"])

@@ -25,11 +25,13 @@ graceful-degradation responses of §III-E enforcement on top:
   *first* and C2 (oldest-match) holds across evictions.
 * **Escalation / re-offload** — sustained pressure (or an allocating
   post that cannot fit even after eviction) forces a full software
-  takeover via the same :func:`repro.recovery.journal.host_takeover`
-  migration the capacity-overflow fallback uses; once the software
-  working set drains below half the descriptor table *and* occupancy
-  is out of the pressured band, the state migrates back onto a fresh
-  engine.
+  takeover; once the software working set drains below half the
+  descriptor table *and* occupancy is out of the pressured band, the
+  state migrates back onto a fresh engine.
+
+The policy — when to defer, evict, escalate and return — lives here;
+the migrations and the parked store are the shared mechanism of
+:class:`repro.recovery.supervisor.Supervisor`.
 
 With an unlimited budget every gate is a constant-time no-op on the
 exact pre-existing call sequence: same engine calls, same blocks, same
@@ -45,12 +47,11 @@ from repro.core.config import EngineConfig
 from repro.core.descriptor import DESCRIPTOR_BYTES
 from repro.core.engine import OptimisticMatcher
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
-from repro.core.events import MatchEvent, MatchKind, ResolutionPath
+from repro.core.events import MatchEvent
 from repro.core.indexes import SearchProbeCount
-from repro.matching.list_matcher import ListMatcher
 from repro.obs.ledger import NULL_RECORDER, FlightRecorder
 from repro.pressure.budget import PressureMeter, UNEXPECTED_HEADER_BYTES
-from repro.util.counters import MonotonicCounter
+from repro.recovery.supervisor import Supervisor
 
 __all__ = ["PressuredPipeline"]
 
@@ -68,26 +69,20 @@ class PressuredPipeline:
         engine_cls: type[OptimisticMatcher] = OptimisticMatcher,
         recorder: FlightRecorder = NULL_RECORDER,
     ) -> None:
-        self._config = config
-        self._comm = comm
-        self._observer = observer
-        self._engine_cls = engine_cls
-        self.recorder = recorder
         self.meter = meter
-        self.engine = engine_cls(config, comm=comm, observer=observer)
-        self.engine.set_pressure(meter)
-        if recorder.enabled:
-            self.engine.set_recorder(recorder)
+        self._ladder = Supervisor(
+            config,
+            engine_cls=engine_cls,
+            comm=comm,
+            observer=observer,
+            meter=meter,
+            recorder=recorder,
+        )
         meter.charge_bins(config.bins)
         #: One stats object carried across every engine generation.
-        self.stats = self.engine.stats
-        #: Non-None while escalated: the host matcher owning the set.
-        self._software: ListMatcher | None = None
-        #: Host-parked evictees, strictly ascending arrival order.
-        self._parked: deque[MessageEnvelope] = deque()
+        self.stats = self._ladder.stats
         #: Admission-deferred posts, strict FIFO.
         self._deferred: deque[ReceiveRequest] = deque()
-        self._events: list[MatchEvent] = []
         self._receiver = None
         self._strikes = 0
         self._recover_threshold = config.max_receives // 2
@@ -110,12 +105,17 @@ class PressuredPipeline:
     # -- introspection -------------------------------------------------
 
     @property
+    def engine(self) -> OptimisticMatcher:
+        """The current engine generation (stale while escalated)."""
+        return self._ladder.engine
+
+    @property
     def offloaded(self) -> bool:
-        return self._software is None
+        return self._ladder.host is None
 
     @property
     def parked_count(self) -> int:
-        return len(self._parked)
+        return len(self._ladder.parked)
 
     @property
     def deferred_count(self) -> int:
@@ -123,12 +123,10 @@ class PressuredPipeline:
 
     @property
     def unexpected_count(self) -> int:
-        resident = (
-            self.engine.unexpected_count
-            if self._software is None
-            else self._software.unexpected_count
-        )
-        return resident + len(self._parked)
+        return self._ladder.unexpected_count + len(self._ladder.parked)
+
+    def queue_depths(self) -> dict[str, float]:
+        return self._ladder.queue_depths()
 
     # -- the matcher interface the RdmaReceiver drives -----------------
 
@@ -136,44 +134,32 @@ class PressuredPipeline:
         # Settle buffered messages first (a post is a host->DPA QP
         # command; the DPA drains the completion queue before handling
         # it) so every drain check below sees current state.
-        self._events.extend(self._flush_inner())
-        parked = self._search_parked(request)
+        self._ladder.events.extend(self._flush_inner())
+        parked = self._ladder.search_parked(request)
         if parked is not None:
-            return self._recall(request, parked)
-        if self._software is not None:
-            event = self._software.post_receive(request)
+            return self._ladder.recall(request, parked)
+        if self._ladder.host is not None:
+            event = self._ladder.host.post_receive(request)
             self._maybe_reoffload()
             return event
-        if self._deferred:
-            # Strict FIFO: nothing may overtake a deferred post, or a
-            # later compatible post could steal its message.
-            self._deferred.append(request)
-            self.meter.stats.posts_deferred += 1
-            return None
-        if self.engine.unexpected.search(request, SearchProbeCount()) is not None:
-            # Draining only releases memory: always admitted.
-            return self.engine.post_receive(request)
-        if self.meter.under_pressure:
-            self._relieve()
-        if not self.meter.under_pressure and self._fits_post():
+        # Strict FIFO: nothing may overtake a deferred post, or a later
+        # compatible post could steal its message.
+        if not self._deferred and self._admissible(request):
             return self.engine.post_receive(request)
         self._deferred.append(request)
         self.meter.stats.posts_deferred += 1
         return None
 
     def submit_message(self, msg: MessageEnvelope) -> None:
-        if self._software is not None:
-            self.stats.degraded_matches += 1
-            event = self._software.incoming_message(msg)
-            if event is not None:
-                self._events.append(event)
+        if self._ladder.host is not None:
+            self._ladder.events.append(self._ladder.host_deliver(msg))
             return
         self.engine.submit_message(msg)
 
     def process_all(self) -> list[MatchEvent]:
-        events, self._events = self._events, []
+        events = self._ladder.drain_events()
         events.extend(self._flush_inner())
-        if self._software is None:
+        if self._ladder.host is None:
             # Proactive relief: shed cold unexpected state on every
             # progress round, not just when a post is waiting —
             # otherwise a pressured receiver with nothing to admit
@@ -196,10 +182,10 @@ class PressuredPipeline:
         """End-of-run fence: force the deferred queue empty, escalating
         to the host if eviction alone cannot make room. Resulting drain
         events surface from the next ``process_all``."""
-        self._events.extend(self._flush_inner())
+        self._ladder.events.extend(self._flush_inner())
         while self._deferred:
-            self._events.extend(self._pump_admission())
-            if self._deferred and self._software is None:
+            self._ladder.events.extend(self._pump_admission())
+            if self._deferred and self._ladder.host is None:
                 self._escalate()
 
     # -- admission -----------------------------------------------------
@@ -223,7 +209,7 @@ class PressuredPipeline:
                 return events
             if progressed:
                 self._strikes = 0
-            if self._software is None:
+            if self._ladder.host is None:
                 if not self._fits_post() and self.engine.unexpected_count == 0:
                     # Nothing left to evict and the descriptor still
                     # cannot fit: the budget simply cannot hold this
@@ -236,42 +222,35 @@ class PressuredPipeline:
                     continue
             return events
 
+    def _admissible(self, request: ReceiveRequest) -> bool:
+        """May this post go to the engine now? One that drains an
+        unexpected message always may (draining only releases memory);
+        one that allocates needs room outside the pressured band."""
+        if self.engine.unexpected.search(request, SearchProbeCount()) is not None:
+            return True
+        if self.meter.under_pressure:
+            self._relieve()
+        return not self.meter.under_pressure and self._fits_post()
+
     def _admit_ready(self, events: list[MatchEvent]) -> bool:
         """Admit deferred posts head-first while the head is admissible.
         Returns whether any post was admitted."""
         progressed = False
         while self._deferred:
             request = self._deferred[0]
-            parked = self._search_parked(request)
+            parked = self._ladder.search_parked(request)
             if parked is not None:
-                self._deferred.popleft()
-                events.append(self._recall(request, parked))
-                progressed = True
-                continue
-            if self._software is not None:
-                self._deferred.popleft()
-                event = self._software.post_receive(request)
-                if event is not None:
-                    events.append(event)
-                progressed = True
-                continue
-            if self.engine.unexpected.search(request, SearchProbeCount()) is not None:
-                self._deferred.popleft()
+                event = self._ladder.recall(request, parked)
+            elif self._ladder.host is not None:
+                event = self._ladder.host.post_receive(request)
+            elif self._admissible(request):
                 event = self.engine.post_receive(request)
-                if event is not None:
-                    events.append(event)
-                progressed = True
-                continue
-            if self.meter.under_pressure:
-                self._relieve()
-            if not self.meter.under_pressure and self._fits_post():
-                self._deferred.popleft()
-                event = self.engine.post_receive(request)
-                if event is not None:  # pragma: no cover - allocating post
-                    events.append(event)
-                progressed = True
-                continue
-            break
+            else:
+                break
+            self._deferred.popleft()
+            if event is not None:
+                events.append(event)
+            progressed = True
         return progressed
 
     # -- eviction / recall ---------------------------------------------
@@ -297,80 +276,25 @@ class PressuredPipeline:
                 break
 
     def _evict_one(self) -> bool:
-        envelope = self.engine.evict_oldest_unexpected()
+        envelope = self._ladder.evict_oldest()
         if envelope is None:
             return False
-        self._parked.append(envelope)
-        self._spill_staged_payload(envelope.send_seq)
-        self.meter.stats.evictions += 1
-        if self.recorder.enabled:
-            self.recorder.stamp(envelope.mid, "parked")
+        if self._receiver is not None:
+            # Eviction frees the payload bytes too, not just the header.
+            self._receiver.spill_staged(envelope.send_seq)
         return True
-
-    def _spill_staged_payload(self, token: int) -> None:
-        """Move an evictee's staged eager payload out of NIC bounce
-        memory into host memory (the PR-1 degraded staging path), so
-        eviction frees the payload bytes too, not just the header."""
-        if self._receiver is None:
-            return
-        staged = self._receiver._staged.get(token)
-        if staged is None or staged.bounce is None:
-            return  # rendezvous (header-only) or already host-staged
-        payload = staged.bounce.read()
-        self._receiver.qp.bounce_pool.release(staged.bounce)
-        staged.bounce = None
-        staged.host_data = payload
-
-    def _search_parked(self, request: ReceiveRequest) -> MessageEnvelope | None:
-        """Oldest parked envelope matching ``request``. Parked entries
-        are strictly older than anything resident, so this search runs
-        *before* the engine's — C2 across the eviction boundary."""
-        for envelope in self._parked:
-            if request.matches(envelope):
-                return envelope
-        return None
-
-    def _recall(self, request: ReceiveRequest, envelope: MessageEnvelope) -> MatchEvent:
-        self._parked.remove(envelope)
-        self.meter.stats.recalls += 1
-        if self.recorder.enabled:
-            self.recorder.note(envelope.mid, "recall")
-        self.stats.receives_posted += 1
-        self.stats.receives_matched_from_unexpected += 1
-        decisions = (
-            self.engine.decisions if self._software is None else self._software.decisions
-        )
-        return MatchEvent(
-            kind=MatchKind.UNEXPECTED_DRAIN,
-            message=envelope,
-            receive=request,
-            receive_post_label=None,
-            path=ResolutionPath.SERIAL,
-            decision_order=decisions.next(),
-        )
 
     # -- escalation / re-offload ---------------------------------------
 
     def _flush_inner(self) -> list[MatchEvent]:
-        if self._software is not None:
-            return self._software.flush()
+        if self._ladder.host is not None:
+            return []  # the host matcher is serial: nothing buffered
         return self.engine.process_all()
 
     def _escalate(self) -> None:
         """Sustained pressure: the host adopts the whole working set
-        (same migration primitive as the capacity-overflow fallback)."""
-        assert self._software is None
-        # Imported lazily; repro.recovery drives matchers, so a
-        # top-level import would cycle.
-        from repro.recovery.journal import host_takeover
-
-        self._software = host_takeover(self.engine)
-        self.stats.fallback_spills += 1
-        self.meter.stats.takeovers += 1
-        if self.recorder.enabled:
-            self.recorder.event("takeover", reason="pressure")
-        self.meter.release_all("descriptors")
-        self.meter.release_all("unexpected")
+        (same migration as the capacity-overflow fallback)."""
+        self._ladder.take_over("pressure")
         if self._receiver is not None:
             # The host owns matching now, so inbound staging is host
             # memory, not DPA memory: detach the meter from the bounce
@@ -380,17 +304,18 @@ class PressuredPipeline:
         self._strikes = 0
 
     def _maybe_reoffload(self) -> None:
-        if self._software is None:
+        host = self._ladder.host
+        if host is None:
             return
-        if self._software.posted_count > self._recover_threshold:
+        if host.posted_count > self._recover_threshold:
             return
         if self.meter.under_pressure:
             return
         pool = self._receiver.qp.bounce_pool if self._receiver is not None else None
         staging = pool.in_use * pool.buffer_bytes if pool is not None else 0
         need = (
-            self._software.posted_count * DESCRIPTOR_BYTES
-            + self._software.unexpected_count * UNEXPECTED_HEADER_BYTES
+            host.posted_count * DESCRIPTOR_BYTES
+            + host.unexpected_count * UNEXPECTED_HEADER_BYTES
             + staging
             + self._wire_reserve()
         )
@@ -402,18 +327,4 @@ class PressuredPipeline:
             pool.pressure = self.meter
             if staging:
                 self.meter.charge("bounce", staging)
-        self._events.extend(self._software.flush())
-        receives, unexpected = self._software.export_state()
-        fresh = self._engine_cls(self._config, comm=self._comm, observer=self._observer)
-        fresh.stats = self.stats
-        fresh.decisions = MonotonicCounter(self._software.decisions.peek())
-        fresh.set_pressure(self.meter)
-        if self.recorder.enabled:
-            fresh.set_recorder(self.recorder)
-        fresh.import_state(receives, unexpected)
-        self.engine = fresh
-        self._software = None
-        self.stats.fallback_recoveries += 1
-        self.meter.stats.reoffloads += 1
-        if self.recorder.enabled:
-            self.recorder.event("reoffload", reason="pressure")
+        self._ladder.reoffload(reason="pressure")

@@ -275,6 +275,22 @@ class RdmaReceiver:
         self._mirror_transport_stats()
         return n
 
+    def spill_staged(self, token: int) -> bool:
+        """Move a staged eager payload out of NIC bounce memory into
+        host memory (the degraded staging path ``QueuePair(host_spill=
+        True)`` takes when the pool is exhausted), releasing its bounce
+        buffer — what evicting the message's header to the host must do
+        for its payload. Returns False, touching nothing, when ``token``
+        holds no bounce buffer: rendezvous (header-only), already
+        host-staged, or unknown."""
+        staged = self._staged.get(token)
+        if staged is None or staged.bounce is None:
+            return False
+        staged.host_data = staged.bounce.read()
+        self._staged_qp[token].bounce_pool.release(staged.bounce)
+        staged.bounce = None
+        return True
+
     def _mirror_transport_stats(self) -> None:
         """Fold reliability-layer counters into the engine's stats so
         one object reports the whole stack's health (degraded matches,

@@ -12,9 +12,13 @@ the accelerator's **compute** a fault domain too:
   quarantine set tracking which DPA cores are currently dead.
 * :mod:`repro.recovery.journal` — block-boundary checkpoints of the
   matching data structures, and rollback onto a fresh engine.
+* :mod:`repro.recovery.supervisor` — :class:`Supervisor`, the one
+  implementation of the degradation ladder's mechanism: engine
+  generations, host takeover / re-offload, guarded block replay, and
+  the parked store — shared by every front-end that degrades.
 * :mod:`repro.recovery.recoverer` — :class:`RecoveringMatcher`, the
-  pipeline controller that replays faulted blocks on surviving cores
-  and escalates to host takeover past the quarantine threshold.
+  core-fault front-end: replays faulted blocks on surviving cores and
+  escalates to host takeover past the quarantine threshold.
 * :mod:`repro.recovery.watchdog` — online oracle cross-checks: the
   incremental :class:`PairingOracle` for pipelines and the op-stream
   :class:`MatchingWatchdog` for matchers.
@@ -36,7 +40,8 @@ from repro.recovery.journal import (
     restore_engine,
 )
 from repro.recovery.quarantine import CoreQuarantine, RecoveryPolicy
-from repro.recovery.recoverer import RecoveringMatcher, RecoveryStats
+from repro.recovery.recoverer import RecoveringMatcher
+from repro.recovery.supervisor import RecoveryStats, Supervisor
 from repro.recovery.watchdog import MatchingWatchdog, PairingOracle, WatchdogAlert
 
 __all__ = [
@@ -54,6 +59,7 @@ __all__ = [
     "RecoveringMatcher",
     "RecoveryPolicy",
     "RecoveryStats",
+    "Supervisor",
     "WatchdogAlert",
     "checkpoint_engine",
     "host_takeover",

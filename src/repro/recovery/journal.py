@@ -48,23 +48,21 @@ class BlockCheckpoint:
     decisions: int = 0
 
 
-def host_takeover(engine: OptimisticMatcher, host=None):
-    """Seed a host :class:`repro.matching.list_matcher.ListMatcher`
+def host_takeover(engine: OptimisticMatcher):
+    """A host :class:`repro.matching.list_matcher.ListMatcher` seeded
     with ``engine``'s live working set, decision stamps kept monotone.
 
-    The one migration primitive every escalation path shares: the
-    descriptor-table spill (PR 1's :class:`FallbackMatcher` and
-    :class:`DpaMachine` degraded mode) and the core-quarantine
-    takeover both call this. ``engine`` must be settled (between
-    blocks); pass ``host`` to seed an existing (empty) matcher.
+    The one migration primitive every escalation path shares (through
+    :meth:`repro.recovery.supervisor.Supervisor.take_over`): the
+    descriptor-table spill, the core-quarantine takeover and the
+    budget takeover. ``engine`` must be settled (between blocks).
     """
     # Imported here, not at module top: repro.matching's package init
-    # pulls in FallbackMatcher, which uses this helper — a top-level
-    # import would cycle.
+    # pulls in FallbackMatcher, which reaches this module through the
+    # supervisor — a top-level import would cycle.
     from repro.matching.list_matcher import ListMatcher
 
-    if host is None:
-        host = ListMatcher()
+    host = ListMatcher()
     receives, unexpected = engine.export_state()
     host.seed_state(receives, unexpected)
     host.decisions = MonotonicCounter(engine.decisions.peek())
@@ -93,22 +91,30 @@ def restore_engine(
     stats: EngineStats | None = None,
     observer=None,
     fault_injector=None,
+    keep_history: bool = True,
     history_limit: int | None = None,
+    pressure=None,
+    recorder=None,
 ) -> OptimisticMatcher:
-    """Build a fresh engine holding exactly the checkpointed state.
+    """Build a fresh engine holding exactly the checkpointed state —
+    the one place an engine generation is constructed, for rollback,
+    re-offload and rank restart alike.
 
     ``stats``, when given, is installed as the new engine's stats
-    object — the same carried-across-generations pattern the spill /
-    recovery path uses, so cumulative counters survive rollbacks.
-    ``fault_injector`` is re-attached so the fault schedule continues
-    across the replay (the injector's own block counter advances per
-    *attempt*, keeping the schedule deterministic).
+    object, so cumulative counters survive rollbacks and migrations
+    (``keep_history``/``history_limit`` only shape a *fresh* stats
+    object). ``fault_injector`` is re-attached so the fault schedule
+    continues across the replay (the injector's own block counter
+    advances per *attempt*, keeping the schedule deterministic).
+    ``pressure`` (a memory meter) is installed *before* the import so
+    the adopted state is re-charged by the import hooks; ``recorder``
+    (a flight recorder) rides along on every generation.
     """
     fresh = engine_cls(
         config,
         policy=policy,
         comm=comm,
-        keep_history=True,
+        keep_history=keep_history,
         history_limit=history_limit,
         observer=observer,
     )
@@ -116,5 +122,7 @@ def restore_engine(
         fresh.stats = stats
     fresh.decisions = MonotonicCounter(checkpoint.decisions)
     fresh.fault_injector = fault_injector
+    fresh.set_pressure(pressure)
+    fresh.set_recorder(recorder)
     fresh.import_state(checkpoint.receives, checkpoint.unexpected)
     return fresh

@@ -3,90 +3,44 @@
 :class:`RecoveringMatcher` drives an optimistic engine through the
 pipeline matcher interface (``post_receive`` / ``submit_message`` /
 ``process_all`` — what :class:`repro.rdma.protocol.RdmaReceiver`
-expects) while surviving seeded core faults:
+expects) while surviving seeded core faults. It is the core-fault
+front-end of the degradation ladder; the mechanism — staging, the
+checkpoint/replay loop, quarantine, the two migrations — is
+:class:`repro.recovery.supervisor.Supervisor`'s:
 
-1. Incoming messages stage in the matcher's own queue; each block's
-   batch is therefore known *before* the engine sees it.
-2. Every block attempt starts from a :class:`BlockCheckpoint`. A core
-   fault (fail-stop, watchdog-detected hang, detected bit-flip) aborts
-   the attempt; the faulted core is quarantined (bit-flips are
-   transient — no quarantine), the engine rolls back to the
-   checkpoint, and the same batch replays on the surviving cores.
+1. Incoming messages stage at the supervisor; each block's batch is
+   therefore known *before* the engine sees it.
+2. Every block runs guarded (:meth:`Supervisor.run_guarded`): a core
+   fault rolls the block back and replays it on the surviving cores.
 3. When quarantined cores exceed ``RecoveryPolicy.quarantine_threshold``
    (or one batch exhausts ``max_replays_per_block``), matching
-   escalates to a host :class:`ListMatcher` takeover via PR 1's
-   export/seed migration — decision stamps stay monotone across the
-   boundary. Once cores repair and the host working set drains below
-   ``reoffload_fraction`` of the table, state migrates back onto a
-   fresh engine and offloaded matching resumes.
+   escalates to a host :class:`ListMatcher` takeover. *This class's
+   policy* is the way back: once cores repair and the host working set
+   drains below ``reoffload_fraction`` of the table, state migrates
+   back onto a fresh engine and offloaded matching resumes.
 
-Replay determinism: the engine is oracle-equivalent under *any* thread
-interleaving (the C1/C2 property tests), and rollback restores posted/
-unexpected state with relative order intact, so a replayed block — or
-a host-matched one — produces the same final pairings as a fault-free
-run of the same schedule. ``tests/recovery`` asserts this bit-for-bit.
-
-A :class:`DeadlockError` with *no* armed fault is a genuine engine
-liveness bug and is re-raised, never silently "recovered".
+``tests/recovery`` asserts the pairings equal a fault-free run's,
+bit for bit.
 """
 
 from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
 
 from repro.core.config import EngineConfig
 from repro.core.descriptor import DescriptorTableFull
 from repro.core.engine import OptimisticMatcher
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
 from repro.core.events import MatchEvent
-from repro.core.threadsim import DeadlockError, SchedulePolicy
-from repro.matching.list_matcher import ListMatcher
+from repro.core.threadsim import SchedulePolicy
 from repro.obs.ledger import NULL_RECORDER, FlightRecorder
 from repro.obs.trace import NULL_TRACER, SpanTracer
-from repro.recovery.faults import (
-    CoreFault,
-    CoreFaultInjector,
-    CoreFaultKind,
-    CoreFaultPlan,
-)
-from repro.recovery.journal import (
-    BlockCheckpoint,
-    checkpoint_engine,
-    host_takeover,
-    restore_engine,
-)
-from repro.recovery.quarantine import CoreQuarantine, RecoveryPolicy
-__all__ = ["RecoveringMatcher", "RecoveryStats"]
+from repro.recovery.faults import CoreFaultPlan
+from repro.recovery.quarantine import RecoveryPolicy
+from repro.recovery.supervisor import Supervisor
+
+__all__ = ["RecoveringMatcher"]
 
 #: Default core count (BlueField-3 DPA geometry, §II-C).
 DEFAULT_CORES = 16
-
-
-@dataclass(slots=True)
-class RecoveryStats:
-    """Cumulative recovery accounting (obs-pullable, JSON-literal)."""
-
-    #: Faults that manifested (one per aborted block attempt).
-    core_fail_stops: int = 0
-    core_hangs: int = 0
-    core_bit_flips: int = 0
-    #: Block attempts aborted and rolled back to their checkpoint.
-    block_rollbacks: int = 0
-    #: Replay attempts started after a rollback.
-    blocks_replayed: int = 0
-    #: Messages re-run by those replays.
-    replay_messages: int = 0
-    #: Blocks that completed after at least one rollback.
-    blocks_recovered: int = 0
-    #: Quarantine events (cores can be quarantined repeatedly).
-    cores_quarantined: int = 0
-    #: Cores returned from quarantine.
-    core_repairs: int = 0
-    #: Escalations to the host list matcher.
-    host_takeovers: int = 0
-    #: Migrations back onto a fresh engine after a takeover.
-    reoffloads: int = 0
 
 
 class RecoveringMatcher:
@@ -116,45 +70,34 @@ class RecoveringMatcher:
         subclasses here). ``clock`` supplies timestamps for recovery
         trace spans (defaults to the epoch counter)."""
         self.config = config if config is not None else EngineConfig()
-        self._policy = policy
-        self._comm = comm
-        self._engine_cls = engine_cls
-        self._observer = observer
-        self._keep_history = keep_history
-        self._history_limit = history_limit
-        self.recovery_policy = recovery if recovery is not None else RecoveryPolicy()
         self.core_plan = core_plan if core_plan is not None else CoreFaultPlan.clean()
-        self.quarantine = CoreQuarantine(
-            cores, repair_epochs=self.recovery_policy.repair_epochs
-        )
-        self.injector = CoreFaultInjector(
-            self.core_plan, active_cores=self.quarantine.active_cores
-        )
-        self.engine = engine_cls(
+        self._tracer = tracer
+        self._track = tracer.track("recovery", "cores") if tracer.enabled else None
+        self._ladder = Supervisor(
             self.config,
+            engine_cls=engine_cls,
             policy=policy,
             comm=comm,
+            observer=observer,
             keep_history=keep_history,
             history_limit=history_limit,
-            observer=observer,
+            recorder=recorder,
+            core_plan=self.core_plan,
+            cores=cores,
+            recovery=recovery,
+            instant=self._instant if tracer.enabled else None,
         )
-        self.engine.fault_injector = self.injector
-        self.recorder = recorder
-        if recorder.enabled:
-            self.engine.set_recorder(recorder)
+        self.recovery_policy = self._ladder.recovery_policy
+        self.quarantine = self._ladder.quarantine
+        self.injector = self._ladder.injector
         #: One stats object carried across every engine generation.
-        self.stats = self.engine.stats
-        self.recovery_stats = RecoveryStats()
-        self._staged: deque[MessageEnvelope] = deque()
-        self._host: ListMatcher | None = None
-        self._host_events: list[MatchEvent] = []
-        #: Block-equivalents processed; drives quarantine repairs.
-        self._epoch = 0
-        self._host_msgs = 0
-        self._tracer = tracer
-        self._now = clock if clock is not None else (lambda: float(self._epoch))
-        self._track = tracer.track("recovery", "cores") if tracer.enabled else None
+        self.stats = self._ladder.stats
+        self.recovery_stats = self._ladder.recovery_stats
+        self._now = clock if clock is not None else (lambda: float(self._ladder.epoch))
         self._replay_hist = None
+
+    def _instant(self, name: str, args: dict) -> None:
+        self._tracer.instant(self._track, name, self._now(), args=args)
 
     # -- observability --------------------------------------------------
 
@@ -179,254 +122,108 @@ class RecoveringMatcher:
         )
 
     @property
+    def engine(self) -> OptimisticMatcher:
+        """The current engine generation (changes across rollbacks)."""
+        return self._ladder.engine
+
+    @property
     def degraded(self) -> bool:
         """Whether matching is currently taken over by the host."""
-        return self._host is not None
+        return self._ladder.host is not None
 
     @property
     def posted_count(self) -> int:
-        if self._host is not None:
-            return self._host.posted_count
-        return self.engine.posted_receives
+        return self._ladder.posted_count
 
     @property
     def unexpected_count(self) -> int:
-        if self._host is not None:
-            return self._host.unexpected_count
-        return self.engine.unexpected_count
+        return self._ladder.unexpected_count
 
     @property
     def pending_messages(self) -> int:
-        return len(self._staged)
+        return len(self._ladder.staged)
+
+    def queue_depths(self) -> dict[str, float]:
+        return self._ladder.queue_depths()
 
     # -- pipeline matcher interface -------------------------------------
 
     def post_receive(self, request: ReceiveRequest) -> MatchEvent | None:
         self._maybe_reoffload()
-        if self._host is None:
+        ladder = self._ladder
+        if ladder.host is None:
             try:
-                return self.engine.post_receive(request)
+                return ladder.engine.post_receive(request)
             except DescriptorTableFull:
                 # Resource pressure escalates through the same takeover
                 # path as core loss (PR 1's spill contract).
-                self._take_over(())
-        return self._host.post_receive(request)
+                self.recovery_stats.host_takeovers += 1
+                ladder.take_over("core-faults", dead=self.quarantine.count)
+                self._trace_takeover()
+        return ladder.host.post_receive(request)
 
     def submit_message(self, msg: MessageEnvelope) -> None:
         """Stage a message; batches form at ``process_all`` time so a
         faulted block's batch is known for rollback and replay."""
-        self._staged.append(msg)
+        self._ladder.staged.append(msg)
 
     def process_all(self) -> list[MatchEvent]:
-        events, self._host_events = self._host_events, []
+        ladder = self._ladder
+        events = ladder.drain_events()
         self._maybe_reoffload()
-        while self._staged:
-            if self._host is not None:
-                while self._staged:
-                    self._host_deliver(self._staged.popleft())
-                break
-            width = self.config.block_threads
-            batch = [
-                self._staged.popleft()
-                for _ in range(min(width, len(self._staged)))
-            ]
+        for batch in ladder.guarded_batches():
             events.extend(self._run_block(batch))
-        events.extend(self._host_events)
-        self._host_events = []
+        while ladder.staged:
+            self._host_deliver(ladder.staged.popleft())
+        events.extend(ladder.drain_events())
         return events
 
-    # -- the recovery loop ----------------------------------------------
-
     def _run_block(self, batch: list[MessageEnvelope]) -> list[MatchEvent]:
-        """One batch, to completion: checkpoint -> attempt -> (fault?
-        quarantine + rollback + replay | takeover) -> events."""
-        rs = self.recovery_stats
-        attempts = 0
-        while True:
-            self._advance_epoch()
-            checkpoint = checkpoint_engine(self.engine)
-            marks = None
-            if self.recorder.enabled:
-                # Speculation fence: an aborted attempt's stamps are
-                # rewound so only the surviving attempt shapes the
-                # waterfall; the rollback survives as an annotation.
-                marks = [(msg.mid, self.recorder.mark(msg.mid)) for msg in batch]
+        run = self._ladder.run_guarded(batch)
+        if run.events is None:
+            # Quarantine exceeded the threshold (or the batch would not
+            # stop faulting): the batch is matched on the host instead.
+            self._trace_takeover()
             for msg in batch:
-                self.engine.submit_message(msg)
-            attempts += 1
-            try:
-                events = self.engine.process_block()
-            except (CoreFault, DeadlockError) as exc:
-                fault = self.injector.take_armed()
-                if fault is None:
-                    # Not ours: a genuine liveness/protocol bug must
-                    # surface, not be papered over by a replay.
-                    raise
-                self._note_fault(fault, exc)
-                self._rollback(checkpoint)
-                if marks is not None:
-                    for mid, mark in marks:
-                        self.recorder.rewind(mid, mark)
-                        self.recorder.note(
-                            mid,
-                            "rollback",
-                            epoch=self._epoch,
-                            attempt=attempts,
-                            fault=fault.kind.value,
-                        )
-                over_threshold = (
-                    self.quarantine.count
-                    > self.recovery_policy.quarantine_threshold
-                )
-                if (
-                    over_threshold
-                    or attempts >= self.recovery_policy.max_replays_per_block
-                ):
-                    self._take_over(batch)
-                    return []
-                rs.blocks_replayed += 1
-                rs.replay_messages += len(batch)
-                continue
-            if attempts > 1:
-                rs.blocks_recovered += 1
-                if self._replay_hist is not None:
-                    self._replay_hist.observe(float(attempts))
-                if self._track is not None:
-                    self._tracer.instant(
-                        self._track,
-                        "replayed",
-                        self._now(),
-                        args={"attempts": attempts, "messages": len(batch)},
-                    )
-            return events
-
-    def _note_fault(self, fault, exc) -> None:
-        rs = self.recovery_stats
-        if fault.kind is CoreFaultKind.FAIL_STOP:
-            rs.core_fail_stops += 1
-        elif fault.kind is CoreFaultKind.HANG:
-            rs.core_hangs += 1
-        else:
-            rs.core_bit_flips += 1
-        if self._track is not None:
-            self._tracer.instant(
-                self._track,
-                f"fault:{fault.kind.value}",
-                self._now(),
-                args={"core": fault.core, "thread": fault.thread},
-            )
-        # Bit-flips are transient (the core itself is healthy);
-        # fail-stop and hang take the core out of service.
-        if fault.kind is not CoreFaultKind.BIT_FLIP:
-            self.quarantine.quarantine(fault.core, self._epoch)
-            rs.cores_quarantined += 1
+                self._host_deliver(msg)
+            return []
+        if run.attempts > 1:
+            if self._replay_hist is not None:
+                self._replay_hist.observe(float(run.attempts))
             if self._track is not None:
-                self._tracer.instant(
-                    self._track,
-                    "quarantine",
-                    self._now(),
-                    args={"core": fault.core, "dead": self.quarantine.count},
+                self._instant(
+                    "replayed", {"attempts": run.attempts, "messages": len(batch)}
                 )
+        return run.events
 
-    def _rollback(self, checkpoint: BlockCheckpoint) -> None:
-        self.engine = restore_engine(
-            checkpoint,
-            self.config,
-            engine_cls=self._engine_cls,
-            policy=self._policy,
-            comm=self._comm,
-            stats=self.stats,
-            observer=self._observer,
-            fault_injector=self.injector,
-            history_limit=self._history_limit,
-        )
-        if self.recorder.enabled:
-            self.engine.set_recorder(self.recorder)
-        self.recovery_stats.block_rollbacks += 1
+    def _host_deliver(self, msg: MessageEnvelope) -> None:
+        self._ladder.events.append(self._ladder.host_deliver(msg))
 
-    def _advance_epoch(self) -> None:
-        self._epoch += 1
-        repaired = self.quarantine.repair_due(self._epoch)
-        if repaired:
-            self.recovery_stats.core_repairs += len(repaired)
-            if self._track is not None:
-                self._tracer.instant(
-                    self._track,
-                    "repair",
-                    self._now(),
-                    args={"cores": repaired, "dead": self.quarantine.count},
-                )
-
-    # -- host takeover / re-offload -------------------------------------
-
-    def _take_over(self, batch) -> None:
-        """Quarantine exceeded the threshold (or a batch would not
-        stop faulting): the host list matcher adopts the working set.
-        The engine is settled (post-rollback or between blocks), so
-        its export *is* the last consistent checkpoint."""
-        host = host_takeover(self.engine)
-        self._host = host
-        self.stats.fallback_spills += 1
-        self.recovery_stats.host_takeovers += 1
-        if self.recorder.enabled:
-            self.recorder.event(
-                "takeover", reason="core-faults", dead=self.quarantine.count
-            )
+    def _trace_takeover(self) -> None:
         if self._track is not None:
             self._tracer.begin(
                 self._track,
                 "takeover",
                 self._now(),
-                args={"dead": self.quarantine.count, "posted": host.posted_count},
+                args={
+                    "dead": self.quarantine.count,
+                    "posted": self._ladder.host.posted_count,
+                },
             )
-        for msg in batch:
-            self._host_deliver(msg)
-
-    def _host_deliver(self, msg: MessageEnvelope) -> None:
-        assert self._host is not None
-        event = self._host.incoming_message(msg)
-        self.stats.degraded_matches += 1
-        self._host_events.append(event)
-        # Host traffic still advances repair time, one epoch per
-        # block-equivalent of messages.
-        self._host_msgs += 1
-        if self._host_msgs % self.config.block_threads == 0:
-            self._advance_epoch()
 
     def _maybe_reoffload(self) -> None:
         """Migrate back once cores repaired and the host set drained."""
-        if self._host is None:
+        host = self._ladder.host
+        if host is None:
             return
         if self.quarantine.count > self.recovery_policy.quarantine_threshold:
             return
         limit = int(
             self.config.max_receives * self.recovery_policy.reoffload_fraction
         )
-        if self._host.posted_count > limit:
+        if host.posted_count > limit:
             return
-        receives, unexpected = self._host.export_state()
-        checkpoint = BlockCheckpoint(
-            receives=receives,
-            unexpected=unexpected,
-            decisions=self._host.decisions.peek(),
-        )
-        self.engine = restore_engine(
-            checkpoint,
-            self.config,
-            engine_cls=self._engine_cls,
-            policy=self._policy,
-            comm=self._comm,
-            stats=self.stats,
-            observer=self._observer,
-            fault_injector=self.injector,
-            history_limit=self._history_limit,
-        )
-        if self.recorder.enabled:
-            self.engine.set_recorder(self.recorder)
-            self.recorder.event("reoffload", reason="core-faults")
-        self._host = None
-        self.stats.fallback_recoveries += 1
-        self.recovery_stats.reoffloads += 1
+        self._ladder.reoffload(reason="core-faults")
         if self._track is not None:
             self._tracer.instant(self._track, "reoffload", self._now())
             self._tracer.end(self._track, self._now())

@@ -16,9 +16,9 @@ import pytest
 
 from repro.chaos.coresoak import MUTANT_PROFILES
 from repro.chaos.harness import ChaosConfig, ChaosReport, run_chaos
-from repro.chaos.soak import soak
+from repro.chaos.soak import PROFILES, soak
 from repro.fleet.codec import decode_result, encode_result
-from repro.obs.attribution import check_conservation
+from repro.obs.attribution import attribute, check_conservation
 from repro.obs.ledger import FlightRecorder, LedgerDump, MessageRecord
 
 MUTANT_SEEDS = range(1, 9)
@@ -48,6 +48,39 @@ class TestRecorderIsPureBookkeeping:
         assert all(
             check_conservation(rec) for rec in recorder.records.values()
         )
+
+
+class TestSpillLaneLedger:
+    """The descriptor-spill lane used to run blind: its engines never
+    saw the recorder, so the ledger had no ``umq`` stamps and no
+    migration events while the core-fault and pressure lanes had both."""
+
+    @pytest.mark.parametrize("seed", [3, 4, 5, 12])  # 12 ends degraded
+    def test_every_generation_change_is_recorded(self, seed):
+        recorder = FlightRecorder()
+        report = run_chaos(replace(PROFILES["spill"], seed=seed), recorder=recorder)
+        assert report.ok and report.fallback_spills >= 1
+        names = [name for _, name, _ in recorder.events]
+        assert names.count("takeover") == report.fallback_spills
+        assert names.count("reoffload") == report.fallback_recoveries
+        # One episode at a time: the two strictly alternate.
+        assert names[::2] == ["takeover"] * len(names[::2])
+        assert names[1::2] == ["reoffload"] * len(names[1::2])
+        assert all(
+            detail == {"reason": "descriptor-spill"} for _, _, detail in recorder.events
+        )
+
+    def test_engine_stamps_umq_and_attribution_conserves(self):
+        recorder = FlightRecorder()
+        report = run_chaos(replace(PROFILES["spill"], seed=3), recorder=recorder)
+        assert report.ok
+        phases = {
+            phase for rec in recorder.records.values() for _, phase, _ in rec.transitions
+        }
+        assert "umq" in phases
+        (spill,) = attribute(recorder.export("spill"))
+        assert spill.messages == report.sent
+        assert not spill.violations
 
 
 class TestViolationPassport:

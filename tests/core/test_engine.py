@@ -94,6 +94,18 @@ class TestBlockProcessing:
         assert len(events) == 5
         assert eng.stats.blocks == 3
 
+    def test_take_pending_empties_the_queue_in_arrival_order(self):
+        eng = OptimisticMatcher(cfg(block_threads=2))
+        for i in range(5):
+            eng.submit_message(MessageEnvelope(source=0, tag=i, send_seq=i))
+        eng.process_block()  # the first two are matched, three still queued
+        taken = eng.take_pending()
+        assert [m.tag for m in taken] == [2, 3, 4]
+        assert [m.arrival for m in taken] == sorted(m.arrival for m in taken)
+        assert eng.pending_messages == 0
+        assert eng.take_pending() == []
+        assert eng.process_all() == []
+
     def test_unmatched_goes_unexpected(self):
         eng = OptimisticMatcher(cfg())
         eng.submit_message(MessageEnvelope(source=0, tag=0))

@@ -130,4 +130,4 @@ class TestRecoverableFallbackMatcher:
         stats = matcher.stats
         cross_validate(matcher, overflow_then_drain_ops())
         assert matcher.stats is stats
-        assert matcher._offloaded.engine.stats is stats
+        assert matcher.engine.stats is stats

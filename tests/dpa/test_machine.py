@@ -57,7 +57,7 @@ class TestDpaMachine:
     def test_block_history_optional(self):
         m = DpaMachine(
             EngineConfig(bins=16, block_threads=4, max_receives=128),
-            keep_block_history=True,
+            keep_history=True,
         )
         for i in range(8):
             m.deliver(MessageEnvelope(source=0, tag=0, send_seq=i))

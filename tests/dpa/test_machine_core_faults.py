@@ -74,11 +74,11 @@ class TestFaultMode:
     def test_quarantine_raises_per_block_cost(self):
         """Blocks are costed over surviving cores: with half the cores
         dead, the same work takes more cycles per block."""
-        base = machine(keep_block_history=True)
+        base = machine(keep_history=True)
         run_schedule(base, seed=3, rounds=6)
         hurt = machine(
             cores=8,
-            keep_block_history=True,
+            keep_history=True,
             core_faults=CoreFaultPlan(seed=5, fail_stop_rate=0.6),
             recovery=RecoveryPolicy(quarantine_threshold=6, repair_epochs=200),
         )

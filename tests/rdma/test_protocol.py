@@ -58,6 +58,46 @@ class TestEager:
         assert delivery.payload == b""
 
 
+class TestSpillStaged:
+    """``spill_staged`` moves an unexpected eager payload bounce->host."""
+
+    def test_eager_payload_moves_to_host_and_frees_the_buffer(self, link):
+        sender, receiver, tx = link
+        sender.send(tag=3, payload=b"early")
+        pump(receiver, tx)
+        pool = receiver.qp.bounce_pool
+        assert pool.in_use == 1
+        assert receiver.spill_staged(0)  # tokens count from 0
+        assert pool.in_use == 0
+        receiver.post_receive(ReceiveRequest(source=0, tag=3, handle=9))
+        (delivery,) = receiver.completed
+        assert delivery.payload == b"early"
+        assert receiver.host_staged_deliveries == 1
+        assert pool.in_use == 0  # not released a second time
+
+    def test_second_spill_of_the_same_token_is_a_noop(self, link):
+        sender, receiver, tx = link
+        sender.send(tag=3, payload=b"early")
+        pump(receiver, tx)
+        assert receiver.spill_staged(0)
+        assert not receiver.spill_staged(0)  # already host-staged
+        assert receiver.qp.bounce_pool.in_use == 0
+
+    def test_rendezvous_and_unknown_tokens_are_noops(self, link):
+        sender, receiver, tx = link
+        sender.send(tag=4, payload=b"x" * 200)  # > 64 B: header-only RTS
+        pump(receiver, tx)
+        in_use = receiver.qp.bounce_pool.in_use
+        assert not receiver.spill_staged(0)
+        assert not receiver.spill_staged(99)
+        assert receiver.qp.bounce_pool.in_use == in_use
+        receiver.post_receive(ReceiveRequest(source=0, tag=4, handle=1))
+        pump(receiver, tx)
+        (delivery,) = receiver.completed
+        assert delivery.protocol == "rndv" and delivery.payload == b"x" * 200
+        assert receiver.host_staged_deliveries == 0
+
+
 class TestRendezvous:
     def test_expected_rendezvous(self, link):
         sender, receiver, tx = link
