@@ -5,7 +5,7 @@ from repro.analyzer.commgraph import CommGraphStats, build_comm_graph, graph_sta
 from repro.analyzer.compare import ComparisonReport, MetricDelta, compare_analyses
 from repro.analyzer.fullreport import format_app_report
 from repro.analyzer.model import BinsPrediction, compare_with_measurement, predict
-from repro.analyzer.processing import analyze
+from repro.analyzer.processing import PreparedTrace, analyze, prepare
 from repro.analyzer.recommend import Recommendation, recommend_bins
 from repro.analyzer.report import (
     depth_reduction_summary,
@@ -33,6 +33,7 @@ __all__ = [
     "CommGraphStats",
     "ComparisonReport",
     "MetricDelta",
+    "PreparedTrace",
     "Recommendation",
     "ReplayResult",
     "analyze",
@@ -41,6 +42,7 @@ __all__ = [
     "compare_with_measurement",
     "graph_stats",
     "predict",
+    "prepare",
     "export_artifact",
     "export_trace_analysis",
     "load_summary",

@@ -57,9 +57,10 @@ def export_trace_analysis(
     trace: Trace, out_dir: Path, bins_list: tuple[int, ...] = BIN_SWEEP
 ) -> dict[int, AppAnalysis]:
     """Analyze one trace at every bin count and write its folders."""
-    from repro.analyzer.processing import analyze
+    from repro.analyzer.processing import analyze, prepare
 
-    results = {bins: analyze(trace, bins, keep_datapoints=True) for bins in bins_list}
+    prepared = prepare(trace)
+    results = {bins: analyze(prepared, bins, keep_datapoints=True) for bins in bins_list}
     app_dir = out_dir / trace.name.replace("/", "_")
     for bins, analysis in results.items():
         bins_dir = app_dir / str(bins)

@@ -117,12 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_obs(trace, results, args) -> None:
-    """Emit observability artifacts for one analyzed trace.
-
-    ``results`` may be a dict (bins -> AppAnalysis) or a zero-argument
-    callable producing one, so call sites that already analyzed pass
-    their dict and others only pay for analysis when asked.
-    """
+    """Emit observability artifacts for one analyzed trace
+    (``results``: bins -> AppAnalysis)."""
     if args.trace_out:
         from repro.obs.trace import mpi_trace_to_chrome
 
@@ -132,7 +128,7 @@ def _write_obs(trace, results, args) -> None:
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-        for bins, analysis in (results() if callable(results) else results).items():
+        for bins, analysis in results.items():
             prefix = f"analysis.bins{bins}"
             registry.register_stats(f"{prefix}.depth", analysis.depth)
             registry.add_collector(
@@ -239,28 +235,18 @@ def main(argv: list[str] | None = None) -> int:
         report = compare_analyses(left, right)
         print(report.format())
         return 0 if report.ok else 1
-    if args.trace_dir:
-        trace = load_trace(args.trace_dir)
-        if args.full_report:
-            from repro.analyzer.fullreport import format_app_report
-
-            print(format_app_report(trace, bins_list=args.bins))
-            _write_obs(trace, lambda: {b: analyze(trace, b) for b in args.bins}, args)
-            return 0
+    if args.trace_dir or args.app:
+        if args.trace_dir:
+            trace = load_trace(args.trace_dir)
+        else:
+            trace = generate(args.app, processes=args.processes, rounds=args.rounds)
         results = sweep_trace(trace, args.bins)
-        print(format_figure7({trace.name: results}))
-        _write_obs(trace, results, args)
-        return 0
-    if args.app:
-        trace = generate(args.app, processes=args.processes, rounds=args.rounds)
         if args.full_report:
             from repro.analyzer.fullreport import format_app_report
 
-            print(format_app_report(trace, bins_list=args.bins))
-            _write_obs(trace, lambda: {b: analyze(trace, b) for b in args.bins}, args)
-            return 0
-        results = {bins: analyze(trace, bins) for bins in args.bins}
-        print(format_figure7({args.app: results}))
+            print(format_app_report(trace, analyses=results))
+        else:
+            print(format_figure7({trace.name: results}))
         _write_obs(trace, results, args)
         return 0
     build_parser().print_help()

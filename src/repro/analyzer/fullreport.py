@@ -11,16 +11,29 @@ from __future__ import annotations
 
 from repro.analyzer.commgraph import graph_stats
 from repro.analyzer.model import predict
-from repro.analyzer.processing import analyze
+from repro.analyzer.processing import analyze, prepare
 from repro.analyzer.recommend import recommend_bins
 from repro.analyzer.replay import replay_trace
+from repro.analyzer.statistics import AppAnalysis
 from repro.traces.model import OpGroup, Trace
 
 __all__ = ["format_app_report"]
 
 
-def format_app_report(trace: Trace, *, bins_list: tuple[int, ...] = (1, 32, 128)) -> str:
-    """One-page matching profile of a trace."""
+def format_app_report(
+    trace: Trace,
+    *,
+    bins_list: tuple[int, ...] = (1, 32, 128),
+    analyses: dict[int, AppAnalysis] | None = None,
+) -> str:
+    """One-page matching profile of a trace.
+
+    ``analyses`` (bins -> analysis of this trace) is for a caller that
+    already swept it; those bin counts are then the ones shown.
+    """
+    prepared = prepare(trace)
+    if analyses is None:
+        analyses = {bins: analyze(prepared, bins) for bins in bins_list}
     lines: list[str] = []
     lines.append(f"=== {trace.name} — matching profile ===")
     lines.append(f"ranks: {trace.nprocs}   trace ops: {trace.total_ops()}")
@@ -45,19 +58,15 @@ def format_app_report(trace: Trace, *, bins_list: tuple[int, ...] = (1, 32, 128)
     # Queue-depth sweep (Fig. 7 lens).
     lines.append("")
     lines.append(f"{'bins':>6s} {'mean':>7s} {'p95':>7s} {'max':>5s} {'collisions':>11s}")
-    reference = None
-    for bins in bins_list:
-        analysis = analyze(trace, bins)
-        if reference is None:
-            reference = analysis
+    for bins, analysis in analyses.items():
         depth = analysis.depth
         lines.append(
             f"{bins:6d} {depth.mean_depth:7.2f} {depth.p95_depth:7.2f} "
             f"{depth.max_depth:5d} {depth.collisions:11d}"
         )
 
-    # Key population and wildcard usage.
-    assert reference is not None
+    # Key population and wildcard usage (the same at every bin count).
+    reference = next(iter(analyses.values()))
     lines.append("")
     lines.append(
         f"keys: {reference.unique_pairs} unique (source, tag) pairs, "
@@ -72,7 +81,7 @@ def format_app_report(trace: Trace, *, bins_list: tuple[int, ...] = (1, 32, 128)
         lines.append(f"receive wildcard classes: {usage}")
 
     # Occupancy theory check at the largest sweep point.
-    largest = bins_list[-1]
+    largest = list(analyses)[-1]
     theory = predict(reference.unique_pairs, 3 * largest)
     lines.append(
         f"theory @{largest} bins: expected max load "
@@ -93,7 +102,7 @@ def format_app_report(trace: Trace, *, bins_list: tuple[int, ...] = (1, 32, 128)
         lines.append("engine replay: no p2p traffic")
 
     # Sizing recommendation.
-    rec = recommend_bins(trace, target_depth=1.0)
+    rec = recommend_bins(prepared, target_depth=1.0)
     lines.append(
         f"sizing: {rec.bins} bins reach mean depth {rec.mean_depth:.2f} "
         f"({rec.bin_table_bytes / 1024:.1f} KiB of bin tables)"

@@ -14,86 +14,161 @@ replayed against per-rank emulated matching structures:
 Collectives and one-sided operations are counted for the call mix but
 not matched — exactly the paper's scope ("Only p2p and progress
 operations are processed, ignoring collectives and one-sided").
+
+The work splits in two. :func:`prepare` does everything no bin count
+can change, once per trace: the merge, the receive requests and message
+envelopes themselves, and the call-mix / tag / wildcard / kind / pair
+statistics. The envelopes carry their §IV-D inline hashes, which exist
+precisely because ``hash(src, tag)``, ``hash(tag)`` and ``hash(src)``
+"do not depend on receiver state" — the receiver only reduces them
+modulo its bin count. :func:`analyze` is then the replay of that list
+against ``bins``-bin structures, so a sweep over bin counts prepares
+once and replays per count.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
+from typing import Any
 
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
+from repro.core.hashing import compute_inline_hashes
 from repro.traces.model import OpGroup, OpKind, Trace
 from repro.analyzer.statistics import AppAnalysis, Datapoint, QueueDepthStats
 from repro.analyzer.structures import EmulatedMatcher
 
-__all__ = ["analyze"]
+__all__ = ["PreparedTrace", "prepare", "analyze"]
+
+#: Replay step codes: ``(code, rank, item)`` with ``item`` a ready-made
+#: ``ReceiveRequest`` posted at ``rank``, a ``MessageEnvelope`` delivered
+#: to ``rank``, or the walltime of a progress operation on ``rank``.
+_POST, _DELIVER, _PROGRESS = range(3)
 
 
-def _merged_ops(trace: Trace):
-    """All (rank, op) pairs in global walltime order.
+@dataclass(frozen=True, slots=True, eq=False)
+class PreparedTrace:
+    """Everything :func:`analyze` needs of a trace that is the same at
+    every bin count. Treat it as immutable: one is replayed many times."""
 
-    Ties break by (walltime, rank, intra-rank position), which is
-    deterministic and keeps each rank's program order intact.
+    name: str
+    nprocs: int
+    total_ops: int
+    #: The globally ordered replay list (see the step codes above).
+    steps: list[tuple[int, int, Any]]
+    call_mix: dict[OpGroup, float]
+    wildcard_usage: Counter
+    tag_usage: Counter
+    p2p_kinds: Counter
+    unique_pairs: int
+
+
+def prepare(trace: Trace | PreparedTrace) -> PreparedTrace:
+    """The bin-independent half of the analysis, done once per trace.
+
+    A trace that is already prepared is returned as it is, so anything
+    that analyzes "a trace" takes either form. Ties in the merge break
+    by (walltime, rank, intra-rank position), which is deterministic
+    and keeps each rank's program order intact.
     """
-    ops = []
-    for rank_trace in trace.ranks:
-        for position, op in enumerate(rank_trace.ops):
-            ops.append((op.walltime, rank_trace.rank, position, op))
-    ops.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [(rank, op) for _, rank, _, op in ops]
+    if isinstance(trace, PreparedTrace):
+        return trace
+    ops = [
+        (op.walltime, rank_trace.rank, position, op)
+        for rank_trace in trace.ranks
+        for position, op in enumerate(rank_trace.ops)
+    ]
+    ops.sort(key=itemgetter(0, 1, 2))
 
-
-def analyze(trace: Trace, bins: int, *, keep_datapoints: bool = False) -> AppAnalysis:
-    """Process one trace with ``bins``-bin structures."""
-    if bins <= 0:
-        raise ValueError(f"bins must be positive, got {bins}")
-    matchers = [EmulatedMatcher(bins) for _ in range(trace.nprocs)]
-    datapoints: list[Datapoint] = []
+    steps: list[tuple[int, int, Any]] = []
     wildcard_usage: Counter = Counter()
     tag_usage: Counter = Counter()
     p2p_kinds: Counter = Counter()
     pairs: set[tuple[int, int]] = set()
-    send_seq: dict[int, int] = {}
+    # One InlineHashes per (source, tag), shared by every envelope with that key.
+    inline_hashes = cache(compute_inline_hashes)
+    send_seq: defaultdict[int, int] = defaultdict(int)
+    # Completion-queue position of the next message at each rank.
+    arrivals: defaultdict[int, int] = defaultdict(int)
 
-    for rank, op in _merged_ops(trace):
-        group = op.group
+    for walltime, rank, _position, op in ops:
+        kind = op.kind
+        group = kind.group
         if group is OpGroup.P2P:
-            p2p_kinds[op.kind] += 1
-            if op.kind in (OpKind.IRECV, OpKind.RECV):
-                request = ReceiveRequest(
-                    source=op.peer, tag=op.tag, comm=op.comm, size=op.size
-                )
+            p2p_kinds[kind] += 1
+            peer, tag = op.peer, op.tag
+            if tag >= 0:
+                tag_usage[tag] += 1
+            if kind is OpKind.IRECV or kind is OpKind.RECV:
+                request = ReceiveRequest(source=peer, tag=tag, comm=op.comm, size=op.size)
                 wildcard_usage[request.wildcard_class()] += 1
-                pairs.add((op.peer, op.tag))
-                if op.tag >= 0:
-                    tag_usage[op.tag] += 1
-                matchers[rank].post_receive(request)
-            else:  # ISEND / SEND from `rank` to op.peer
-                if op.tag >= 0:
-                    tag_usage[op.tag] += 1
-                seq = send_seq.get(rank, 0)
+                pairs.add((peer, tag))
+                steps.append((_POST, rank, request))
+            else:  # ISEND / SEND from `rank` to `peer`
+                seq = send_seq[rank]
                 send_seq[rank] = seq + 1
-                matchers[op.peer].deliver(
-                    MessageEnvelope(
-                        source=rank,
-                        tag=op.tag,
-                        comm=op.comm,
-                        size=op.size,
-                        send_seq=seq,
-                    )
+                arrival = arrivals[peer]
+                arrivals[peer] = arrival + 1
+                envelope = MessageEnvelope(
+                    source=rank,
+                    tag=tag,
+                    comm=op.comm,
+                    arrival=arrival,
+                    size=op.size,
+                    send_seq=seq,
+                    inline_hashes=inline_hashes(rank, tag),
                 )
+                steps.append((_DELIVER, peer, envelope))
         elif group is OpGroup.PROGRESS:
+            steps.append((_PROGRESS, rank, walltime))
+        # collectives / one-sided: counted via call_mix only
+
+    return PreparedTrace(
+        name=trace.name,
+        nprocs=trace.nprocs,
+        total_ops=len(ops),
+        steps=steps,
+        call_mix=trace.call_mix(),
+        wildcard_usage=wildcard_usage,
+        tag_usage=tag_usage,
+        p2p_kinds=p2p_kinds,
+        unique_pairs=len(pairs),
+    )
+
+
+def analyze(
+    trace: Trace | PreparedTrace, bins: int, *, keep_datapoints: bool = False
+) -> AppAnalysis:
+    """Process one trace with ``bins``-bin structures.
+
+    Pass the :func:`prepare`-d trace when analyzing one trace at several
+    bin counts; a bare ``Trace`` is prepared here, for this call only.
+    """
+    if bins <= 0:
+        raise ValueError(f"bins must be positive, got {bins}")
+    prepared = prepare(trace)
+    matchers = [EmulatedMatcher(bins) for _ in range(prepared.nprocs)]
+    datapoints: list[Datapoint] = []
+
+    for code, rank, item in prepared.steps:
+        if code == _POST:
+            matchers[rank].post_receive(item)
+        elif code == _DELIVER:
+            matchers[rank].deliver(item)
+        else:
             interval_max, _interval_mean, snap = matchers[rank].take_datapoint()
             datapoints.append(
                 Datapoint(
                     rank=rank,
-                    walltime=op.walltime,
+                    walltime=item,
                     max_depth=interval_max,
                     total_posted=snap.total_posted,
                     unexpected=snap.unexpected,
                     empty_fraction=snap.empty_fraction,
                 )
             )
-        # collectives / one-sided: counted via call_mix only
 
     depth = QueueDepthStats.from_datapoints(
         bins,
@@ -102,16 +177,17 @@ def analyze(trace: Trace, bins: int, *, keep_datapoints: bool = False) -> AppAna
         unexpected_total=sum(m.unexpected_total for m in matchers),
         drained_total=sum(m.drained_total for m in matchers),
     )
+    # Each analysis owns its containers; the prepared ones are shared.
     return AppAnalysis(
-        name=trace.name,
-        nprocs=trace.nprocs,
+        name=prepared.name,
+        nprocs=prepared.nprocs,
         bins=bins,
         depth=depth,
         datapoints=datapoints if keep_datapoints else [],
-        call_mix=trace.call_mix(),
-        wildcard_usage=wildcard_usage,
-        tag_usage=tag_usage,
-        p2p_kinds=p2p_kinds,
-        unique_pairs=len(pairs),
-        total_ops=trace.total_ops(),
+        call_mix=dict(prepared.call_mix),
+        wildcard_usage=Counter(prepared.wildcard_usage),
+        tag_usage=Counter(prepared.tag_usage),
+        p2p_kinds=Counter(prepared.p2p_kinds),
+        unique_pairs=prepared.unique_pairs,
+        total_ops=prepared.total_ops,
     )

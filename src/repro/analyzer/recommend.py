@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analyzer.processing import analyze
+from repro.analyzer.processing import PreparedTrace, analyze, prepare
 from repro.analyzer.statistics import AppAnalysis
 from repro.dpa.memory import MemoryModel
 from repro.traces.model import Trace
@@ -43,7 +43,7 @@ class Recommendation:
 
 
 def recommend_bins(
-    trace: Trace,
+    trace: Trace | PreparedTrace,
     *,
     target_depth: float = 1.0,
     max_receives: int = 8192,
@@ -60,10 +60,11 @@ def recommend_bins(
         raise ValueError(f"target depth must be non-negative, got {target_depth}")
     if not candidates:
         raise ValueError("candidate list must not be empty")
+    prepared = prepare(trace)
     sweep: dict[int, AppAnalysis] = {}
     chosen: AppAnalysis | None = None
     for bins in sorted(candidates):
-        analysis = analyze(trace, bins)
+        analysis = analyze(prepared, bins)
         sweep[bins] = analysis
         if analysis.depth.mean_depth <= target_depth:
             chosen = analysis

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.core.constants import WildcardClass
 from repro.core.descriptor import DescriptorTable, ReceiveDescriptor
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
-from repro.core.hashing import hash_src, hash_src_tag, hash_tag
+from repro.core.hashing import receive_hash
 from repro.core.indexes import (
     ReceiveIndexes,
     SearchProbeCount,
@@ -29,7 +29,6 @@ from repro.core.indexes import (
     UnexpectedMessage,
 )
 from repro.util.counters import MonotonicCounter, SequenceLabeler
-from repro.util.intrusive import IntrusiveList
 
 __all__ = ["EmulatedMatcher", "DepthSnapshot"]
 
@@ -101,7 +100,6 @@ class EmulatedMatcher:
         self._table = DescriptorTable(capacity, 1)
         self._labels = MonotonicCounter()
         self._sequencer = SequenceLabeler()
-        self._arrivals = MonotonicCounter()
         self._occupancy = _OccupancyTracker(3 * bins)
         self._posted_live = 0
         #: receives whose bucket was non-empty at insertion (hash
@@ -124,22 +122,18 @@ class EmulatedMatcher:
         self._interval_samples = 0
         self._interval_min_empty = 1.0
 
-    def _chain_for(self, descr: ReceiveDescriptor) -> IntrusiveList:
-        wc = descr.wildcard_class
-        if wc is WildcardClass.NONE:
-            return self.indexes.no_wildcard.bucket(hash_src_tag(descr.source, descr.tag))
-        if wc is WildcardClass.SOURCE:
-            return self.indexes.source_wildcard.bucket(hash_tag(descr.tag))
-        if wc is WildcardClass.TAG:
-            return self.indexes.tag_wildcard.bucket(hash_src(descr.source))
-        return self.indexes.both_wildcard
-
     def post_receive(self, request: ReceiveRequest) -> bool:
         """Post a receive; returns True when it drained an unexpected
         message (and was therefore never indexed)."""
         self.posts += 1
+        # One hash per posting: the word addresses the receive's bucket
+        # in the unexpected store and in its own index alike.
+        wc = request.wildcard_class()
+        word = receive_hash(wc, request.source, request.tag)
         probes = SearchProbeCount()
-        stored = self.unexpected.search(request, probes)
+        stored = self.unexpected.search_chain(
+            self.unexpected.chain_for(wc, word), request, probes
+        )
         if stored is not None:
             self.unexpected.remove(stored)
             self.drained_total += 1
@@ -153,14 +147,14 @@ class EmulatedMatcher:
             post_label=self._labels.next(),
             sequence_id=self._sequencer.label(request.source, request.tag),
         )
-        chain = self._chain_for(descr)
+        chain = self.indexes.chain_for(wc, word)
         before = len(chain)
-        self.indexes.insert(descr)
+        self.indexes.insert_at(chain, descr)
         self._posted_live += 1
         # Collision statistic: the target bucket already held entries.
         if before > 0:
             self.collisions += 1
-        if descr.wildcard_class is not WildcardClass.BOTH:
+        if wc is not WildcardClass.BOTH:
             self._occupancy.transition(before, before + 1)
         self._observe_occupancy()
         return False
@@ -179,9 +173,12 @@ class EmulatedMatcher:
             self._interval_min_empty = empty
 
     def deliver(self, msg: MessageEnvelope) -> bool:
-        """Deliver a message; returns True when it matched a receive."""
+        """Deliver a message; returns True when it matched a receive.
+
+        Chain order *is* arrival order here, so ``msg.arrival`` is the
+        caller's to stamp and is never read.
+        """
         self.messages += 1
-        msg = msg.with_arrival(self._arrivals.next())
         self._observe_occupancy()
         best: ReceiveDescriptor | None = None
         visited = 0

@@ -38,10 +38,11 @@ FIGURE7_BINS: tuple[int, ...] = (1, 32, 128)
 
 
 def sweep_trace(trace: Trace, bins_list: tuple[int, ...] = BIN_SWEEP) -> dict[int, AppAnalysis]:
-    """Analyze one trace at every bin count."""
-    from repro.analyzer.processing import analyze
+    """Analyze one trace at every bin count (prepared once)."""
+    from repro.analyzer.processing import analyze, prepare
 
-    return {bins: analyze(trace, bins) for bins in bins_list}
+    prepared = prepare(trace)
+    return {bins: analyze(prepared, bins) for bins in bins_list}
 
 
 def iter_sweep_jobs(

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 from repro.core.constants import WildcardClass
 from repro.core.envelope import ReceiveRequest
 from repro.util.bitmap import Bitmap
+from repro.util.slotpool import SlotPool
 
 if TYPE_CHECKING:  # circular-at-runtime only for typing
     from repro.util.intrusive import IntrusiveNode
@@ -83,38 +84,35 @@ class DescriptorTable:
 
     Mirrors the hardware table: slots are recycled, capacity overflow
     raises :class:`DescriptorTableFull`, and occupancy statistics feed
-    the memory-footprint model (:mod:`repro.dpa.memory`).
+    the memory-footprint model (:mod:`repro.dpa.memory`). The modelled
+    table is ``capacity`` slots wide; the host-side one holds only the
+    slots in use (:class:`repro.util.slotpool.SlotPool`).
     """
 
     def __init__(self, capacity: int, block_threads: int) -> None:
-        if capacity <= 0:
-            raise ValueError(f"descriptor table capacity must be positive, got {capacity}")
         if block_threads <= 0:
             raise ValueError(f"block width must be positive, got {block_threads}")
-        self._capacity = capacity
         self._block_threads = block_threads
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
-        self._slots: list[ReceiveDescriptor | None] = [None] * capacity
-        self._in_use = 0
-        self._high_water = 0
+        self._pool = SlotPool(capacity)  # rejects a non-positive capacity
+        self._slots: dict[int, ReceiveDescriptor] = {}
 
     @property
     def capacity(self) -> int:
-        return self._capacity
+        return self._pool.capacity
 
     @property
     def in_use(self) -> int:
-        return self._in_use
+        return self._pool.in_use
 
     @property
     def high_water(self) -> int:
         """Peak simultaneous occupancy (sizing diagnostics)."""
-        return self._high_water
+        return self._pool.high_water
 
     @property
     def footprint_bytes(self) -> int:
         """Memory the table consumes in the §III-E cost model."""
-        return self._capacity * DESCRIPTOR_BYTES
+        return self._pool.capacity * DESCRIPTOR_BYTES
 
     def allocate(
         self,
@@ -123,12 +121,12 @@ class DescriptorTable:
         sequence_id: int,
     ) -> ReceiveDescriptor:
         """Allocate a descriptor for an accepted receive posting."""
-        if not self._free:
+        slot = self._pool.take()
+        if slot < 0:
             raise DescriptorTableFull(
-                f"descriptor table exhausted at capacity {self._capacity}; "
+                f"descriptor table exhausted at capacity {self._pool.capacity}; "
                 "fall back to software tag matching"
             )
-        slot = self._free.pop()
         descr = ReceiveDescriptor(
             request=request,
             post_label=post_label,
@@ -138,17 +136,15 @@ class DescriptorTable:
             slot=slot,
         )
         self._slots[slot] = descr
-        self._in_use += 1
-        self._high_water = max(self._high_water, self._in_use)
         return descr
 
     def release(self, descr: ReceiveDescriptor) -> None:
         """Return a consumed descriptor's slot to the free list."""
-        if self._slots[descr.slot] is not descr:
-            raise ValueError(f"descriptor in slot {descr.slot} is not table-resident")
-        self._slots[descr.slot] = None
-        self._free.append(descr.slot)
-        self._in_use -= 1
+        slot = descr.slot
+        if slot not in self._slots or self._slots[slot] is not descr:
+            raise ValueError(f"descriptor in slot {slot} is not table-resident")
+        del self._slots[slot]
+        self._pool.give(slot)
 
     def get(self, slot: int) -> ReceiveDescriptor | None:
-        return self._slots[slot]
+        return self._slots.get(slot)

@@ -16,6 +16,7 @@ domains of MPI ranks and tags well across power-of-two bin counts.
 
 from __future__ import annotations
 
+from repro.core.constants import WildcardClass
 from repro.core.envelope import InlineHashes, MessageEnvelope
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "hash_src_tag",
     "hash_tag",
     "hash_src",
+    "receive_hash",
     "compute_inline_hashes",
     "bucket_of",
 ]
@@ -51,6 +53,22 @@ def hash_tag(tag: int) -> int:
 def hash_src(source: int) -> int:
     """Hash word for the tag-wildcard index key ``source``."""
     return mix64(0x5A5A_0000_0000_0000 | (source & 0xFFFFFFFF))
+
+
+def receive_hash(wildcard_class: WildcardClass, source: int, tag: int) -> int:
+    """Hash word of the one key a receive of this class is indexed under.
+
+    The same word addresses the receive's bucket in its own index and
+    in the mirrored unexpected store (§IV-C), so a posting hashes once.
+    The double-wildcard list has no key; its word is 0.
+    """
+    if wildcard_class is WildcardClass.NONE:
+        return hash_src_tag(source, tag)
+    if wildcard_class is WildcardClass.SOURCE:
+        return hash_tag(tag)
+    if wildcard_class is WildcardClass.TAG:
+        return hash_src(source)
+    return 0
 
 
 def compute_inline_hashes(source: int, tag: int) -> InlineHashes:

@@ -24,13 +24,14 @@ bucket for free.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from repro.core.constants import WildcardClass
 from repro.core.descriptor import ReceiveDescriptor
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
-from repro.core.hashing import bucket_of, hash_src, hash_src_tag, hash_tag, message_hashes
+from repro.core.hashing import message_hashes, receive_hash
 from repro.util.intrusive import IntrusiveList, IntrusiveNode
 
 __all__ = [
@@ -60,38 +61,49 @@ class SearchProbeCount:
 
 
 class HashTable:
-    """A binned table of intrusive chains (one of the paper's indexes)."""
+    """A binned table of intrusive chains (one of the paper's indexes).
+
+    The modelled table has ``bins`` buckets; a chain exists host-side
+    only once its bucket has been addressed, so a table costs what the
+    rank touches of it and an untouched bin reads as empty.
+    """
 
     def __init__(self, bins: int) -> None:
         if bins <= 0:
             raise ValueError(f"bin count must be positive, got {bins}")
         self._bins = bins
-        self._buckets: list[IntrusiveList] = [IntrusiveList() for _ in range(bins)]
+        self._buckets: defaultdict[int, IntrusiveList] = defaultdict(IntrusiveList)
 
     @property
     def bins(self) -> int:
         return self._bins
 
     def bucket(self, hash_word: int) -> IntrusiveList:
-        return self._buckets[bucket_of(hash_word, self._bins)]
+        return self._buckets[hash_word % self._bins]
 
     def bucket_at(self, index: int) -> IntrusiveList:
+        if not 0 <= index < self._bins:
+            raise IndexError(f"bucket {index} out of range [0, {self._bins})")
         return self._buckets[index]
 
     def __iter__(self) -> Iterator[IntrusiveList]:
-        return iter(self._buckets)
+        """The chains that exist, in bucket order."""
+        return (self._buckets[index] for index in sorted(self._buckets))
 
     def total_live(self) -> int:
-        return sum(len(b) for b in self._buckets)
+        return sum(len(b) for b in self._buckets.values())
 
     def depths(self) -> list[int]:
         """Live chain length per bucket (the analyzer's queue depths)."""
-        return [len(b) for b in self._buckets]
+        depths = [0] * self._bins
+        for index, chain in self._buckets.items():
+            depths[index] = len(chain)
+        return depths
 
     def empty_fraction(self) -> float:
         """Fraction of bins with no live entries (Fig. 7 statistic)."""
-        empty = sum(1 for b in self._buckets if b.is_empty())
-        return empty / self._bins
+        occupied = sum(1 for b in self._buckets.values() if not b.is_empty())
+        return (self._bins - occupied) / self._bins
 
 
 def _same_source_and_tag(request: ReceiveRequest, msg: MessageEnvelope) -> bool:
@@ -110,33 +122,52 @@ def _always(request: ReceiveRequest, msg: MessageEnvelope) -> bool:
     return True
 
 
-class ReceiveIndexes:
-    """The four posted-receive structures, plus insertion/search logic."""
+class _FourStructures:
+    """The §III-B layout: three binned tables and one ordered list."""
 
     def __init__(self, bins: int) -> None:
         self.no_wildcard = HashTable(bins)
         self.source_wildcard = HashTable(bins)
         self.tag_wildcard = HashTable(bins)
+        #: Posting- (or arrival-) ordered list for double-wildcard receives.
         self.both_wildcard: IntrusiveList = IntrusiveList()
-        self._live = 0
-        #: Chains holding lazily-marked nodes since the last sweep.
-        self._dirty: set[IntrusiveList] = set()
 
     @property
     def bins(self) -> int:
         return self.no_wildcard.bins
 
+    def chain_for(self, wildcard_class: WildcardClass, hash_word: int) -> IntrusiveList:
+        """The one chain a receive of this class lives in (or searches),
+        given its :func:`repro.core.hashing.receive_hash` word."""
+        if wildcard_class is WildcardClass.NONE:
+            return self.no_wildcard.bucket(hash_word)
+        if wildcard_class is WildcardClass.SOURCE:
+            return self.source_wildcard.bucket(hash_word)
+        if wildcard_class is WildcardClass.TAG:
+            return self.tag_wildcard.bucket(hash_word)
+        return self.both_wildcard
+
+
+class ReceiveIndexes(_FourStructures):
+    """The four posted-receive structures, plus insertion/search logic."""
+
+    def __init__(self, bins: int) -> None:
+        super().__init__(bins)
+        self._live = 0
+        #: Chains holding lazily-marked nodes since the last sweep.
+        self._dirty: set[IntrusiveList] = set()
+
     def insert(self, descr: ReceiveDescriptor) -> None:
         """Index a receive in the single structure its class selects."""
         wc = descr.wildcard_class
-        if wc is WildcardClass.NONE:
-            chain = self.no_wildcard.bucket(hash_src_tag(descr.source, descr.tag))
-        elif wc is WildcardClass.SOURCE:
-            chain = self.source_wildcard.bucket(hash_tag(descr.tag))
-        elif wc is WildcardClass.TAG:
-            chain = self.tag_wildcard.bucket(hash_src(descr.source))
-        else:
-            chain = self.both_wildcard
+        request = descr.request
+        self.insert_at(
+            self.chain_for(wc, receive_hash(wc, request.source, request.tag)), descr
+        )
+
+    def insert_at(self, chain: IntrusiveList, descr: ReceiveDescriptor) -> None:
+        """Index a receive in ``chain``, which the caller resolved with
+        :meth:`chain_for`."""
         descr.node = chain.append(descr)
         self._live += 1
 
@@ -210,18 +241,14 @@ class UnexpectedMessage:
     removed: bool = False
 
 
-class UnexpectedIndexes:
+class UnexpectedIndexes(_FourStructures):
     """Unexpected-message store: same shape as the receive indexes, but
     every message is inserted into all four structures (§IV-C)."""
 
     _STRUCTURES = ("no_wildcard", "source_wildcard", "tag_wildcard", "both_wildcard")
 
     def __init__(self, bins: int) -> None:
-        self.no_wildcard = HashTable(bins)
-        self.source_wildcard = HashTable(bins)
-        self.tag_wildcard = HashTable(bins)
-        #: Global arrival-ordered list, searched by double-wildcard receives.
-        self.both_wildcard: IntrusiveList = IntrusiveList()
+        super().__init__(bins)
         self._count = 0
 
     def __len__(self) -> int:
@@ -254,14 +281,17 @@ class UnexpectedIndexes:
         the receive's own bucket is the oldest one — satisfying C2.
         """
         wc = request.wildcard_class()
-        if wc is WildcardClass.NONE:
-            chain = self.no_wildcard.bucket(hash_src_tag(request.source, request.tag))
-        elif wc is WildcardClass.SOURCE:
-            chain = self.source_wildcard.bucket(hash_tag(request.tag))
-        elif wc is WildcardClass.TAG:
-            chain = self.tag_wildcard.bucket(hash_src(request.source))
-        else:
-            chain = self.both_wildcard
+        chain = self.chain_for(wc, receive_hash(wc, request.source, request.tag))
+        return self.search_chain(chain, request, probes)
+
+    def search_chain(
+        self,
+        chain: IntrusiveList,
+        request: ReceiveRequest,
+        probes: SearchProbeCount | None = None,
+    ) -> UnexpectedMessage | None:
+        """:meth:`search` in ``chain``, which the caller resolved with
+        :meth:`chain_for`."""
         if probes is not None:
             probes.buckets += 1
         for node in chain.iter_nodes():

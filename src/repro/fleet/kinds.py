@@ -52,17 +52,27 @@ def register_kind(name: str, fn: KindFn, *, version: str = "1") -> None:
     _KINDS[name] = KindSpec(name=name, fn=fn, version=version)
 
 
+#: ``_analyze_app``'s last prepared trace, as ``(key, prepared)``. The
+#: sweep grid is app-major, so consecutive jobs ask for one trace at
+#: different bin counts; a single entry serves them all and bounds what
+#: a worker keeps alive to one trace.
+_last_prepared: tuple[tuple, Any] | None = None
+
+
 def _analyze_app(params: Mapping[str, Any], seed: int) -> Any:
-    from repro.analyzer.processing import analyze
+    global _last_prepared
+    from repro.analyzer.processing import analyze, prepare
     from repro.traces.synthetic import generate
 
-    trace = generate(
-        params["app"],
-        processes=params.get("processes"),
-        rounds=int(params.get("rounds", 6)),
-    )
+    key = (params["app"], params.get("processes"), int(params.get("rounds", 6)))
+    if _last_prepared is None or _last_prepared[0] != key:
+        app, processes, rounds = key
+        _last_prepared = None  # let the old trace go before building the next
+        _last_prepared = (key, prepare(generate(app, processes=processes, rounds=rounds)))
     return analyze(
-        trace, int(params["bins"]), keep_datapoints=bool(params.get("keep_datapoints"))
+        _last_prepared[1],
+        int(params["bins"]),
+        keep_datapoints=bool(params.get("keep_datapoints")),
     )
 
 

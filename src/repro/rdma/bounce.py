@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.slotpool import SlotPool
+
 __all__ = ["BounceBuffer", "BounceBufferPool", "BouncePoolExhausted"]
 
 
@@ -55,42 +57,45 @@ class BounceBufferPool:
     """
 
     def __init__(self, count: int, buffer_bytes: int = 4096, *, pressure=None) -> None:
-        if count <= 0:
-            raise ValueError(f"pool size must be positive, got {count}")
-        self._buffers = [BounceBuffer(i, buffer_bytes) for i in range(count)]
-        self._free = list(range(count - 1, -1, -1))
-        self.high_water = 0
+        self._pool = SlotPool(count)
+        #: Buffers that have been allocated at least once, by index; the
+        #: rest of the modelled pool is built when first handed out.
+        self._buffers: dict[int, BounceBuffer] = {}
         self.buffer_bytes = buffer_bytes
         self.pressure = pressure
 
     @property
     def capacity(self) -> int:
-        return len(self._buffers)
+        return self._pool.capacity
 
     @property
     def in_use(self) -> int:
-        return len(self._buffers) - len(self._free)
+        return self._pool.in_use
 
     @property
     def available(self) -> int:
         """Free buffers right now (the RNR-probe headroom check)."""
-        return len(self._free)
+        return self._pool.available
+
+    @property
+    def high_water(self) -> int:
+        """Peak simultaneous occupancy (sizing diagnostics)."""
+        return self._pool.high_water
 
     def allocate(self) -> BounceBuffer:
-        if not self._free:
+        if not self._pool.available:
             raise BouncePoolExhausted(
-                f"all {len(self._buffers)} bounce buffers in use"
+                f"all {self._pool.capacity} bounce buffers in use"
             )
         if self.pressure is not None and not self.pressure.would_fit(self.buffer_bytes):
             raise BouncePoolExhausted(
                 f"memory budget cannot absorb another {self.buffer_bytes} B "
                 f"bounce buffer ({self.pressure.headroom()} B headroom)"
             )
-        buf = self._buffers[self._free.pop()]
+        buf = self.get(self._pool.take())
         buf.in_use = True
         if self.pressure is not None:
             self.pressure.charge("bounce", self.buffer_bytes)
-        self.high_water = max(self.high_water, self.in_use)
         return buf
 
     def release(self, buf: BounceBuffer) -> None:
@@ -98,9 +103,14 @@ class BounceBufferPool:
             raise ValueError(f"bounce buffer {buf.index} is not allocated")
         buf.in_use = False
         buf.data = b""
-        self._free.append(buf.index)
+        self._pool.give(buf.index)
         if self.pressure is not None:
             self.pressure.release("bounce", self.buffer_bytes)
 
     def get(self, index: int) -> BounceBuffer:
-        return self._buffers[index]
+        if not 0 <= index < self._pool.capacity:
+            raise IndexError(f"bounce buffer {index} out of range")
+        buf = self._buffers.get(index)
+        if buf is None:
+            buf = self._buffers[index] = BounceBuffer(index, self.buffer_bytes)
+        return buf

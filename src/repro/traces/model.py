@@ -17,31 +17,6 @@ from repro.core.constants import ANY_SOURCE, ANY_TAG
 __all__ = ["OpKind", "OpGroup", "TraceOp", "RankTrace", "Trace"]
 
 
-class OpKind(enum.Enum):
-    """Concrete MPI call recorded in a trace."""
-
-    ISEND = "MPI_Isend"
-    SEND = "MPI_Send"
-    IRECV = "MPI_Irecv"
-    RECV = "MPI_Recv"
-    WAIT = "MPI_Wait"
-    WAITALL = "MPI_Waitall"
-    TEST = "MPI_Test"
-    BARRIER = "MPI_Barrier"
-    BCAST = "MPI_Bcast"
-    REDUCE = "MPI_Reduce"
-    ALLREDUCE = "MPI_Allreduce"
-    GATHER = "MPI_Gather"
-    GATHERV = "MPI_Gatherv"
-    ALLGATHER = "MPI_Allgather"
-    ALLTOALL = "MPI_Alltoall"
-    ALLTOALLV = "MPI_Alltoallv"
-    SCATTER = "MPI_Scatter"
-    PUT = "MPI_Put"
-    GET = "MPI_Get"
-    ACCUMULATE = "MPI_Accumulate"
-
-
 class OpGroup(enum.Enum):
     """The analyzer's four operation groups (§V-A.b)."""
 
@@ -51,28 +26,41 @@ class OpGroup(enum.Enum):
     PROGRESS = "progress"
 
 
-_GROUPS: dict[OpKind, OpGroup] = {
-    OpKind.ISEND: OpGroup.P2P,
-    OpKind.SEND: OpGroup.P2P,
-    OpKind.IRECV: OpGroup.P2P,
-    OpKind.RECV: OpGroup.P2P,
-    OpKind.WAIT: OpGroup.PROGRESS,
-    OpKind.WAITALL: OpGroup.PROGRESS,
-    OpKind.TEST: OpGroup.PROGRESS,
-    OpKind.BARRIER: OpGroup.COLLECTIVE,
-    OpKind.BCAST: OpGroup.COLLECTIVE,
-    OpKind.REDUCE: OpGroup.COLLECTIVE,
-    OpKind.ALLREDUCE: OpGroup.COLLECTIVE,
-    OpKind.GATHER: OpGroup.COLLECTIVE,
-    OpKind.GATHERV: OpGroup.COLLECTIVE,
-    OpKind.ALLGATHER: OpGroup.COLLECTIVE,
-    OpKind.ALLTOALL: OpGroup.COLLECTIVE,
-    OpKind.ALLTOALLV: OpGroup.COLLECTIVE,
-    OpKind.SCATTER: OpGroup.COLLECTIVE,
-    OpKind.PUT: OpGroup.ONE_SIDED,
-    OpKind.GET: OpGroup.ONE_SIDED,
-    OpKind.ACCUMULATE: OpGroup.ONE_SIDED,
-}
+class OpKind(enum.Enum):
+    """Concrete MPI call recorded in a trace.
+
+    ``value`` is the MPI function name; ``group`` is a plain attribute
+    of the member, so classifying an op hashes nothing.
+    """
+
+    group: OpGroup
+
+    def __new__(cls, mpi_name: str, group: OpGroup) -> "OpKind":
+        member = object.__new__(cls)
+        member._value_ = mpi_name
+        member.group = group
+        return member
+
+    ISEND = "MPI_Isend", OpGroup.P2P
+    SEND = "MPI_Send", OpGroup.P2P
+    IRECV = "MPI_Irecv", OpGroup.P2P
+    RECV = "MPI_Recv", OpGroup.P2P
+    WAIT = "MPI_Wait", OpGroup.PROGRESS
+    WAITALL = "MPI_Waitall", OpGroup.PROGRESS
+    TEST = "MPI_Test", OpGroup.PROGRESS
+    BARRIER = "MPI_Barrier", OpGroup.COLLECTIVE
+    BCAST = "MPI_Bcast", OpGroup.COLLECTIVE
+    REDUCE = "MPI_Reduce", OpGroup.COLLECTIVE
+    ALLREDUCE = "MPI_Allreduce", OpGroup.COLLECTIVE
+    GATHER = "MPI_Gather", OpGroup.COLLECTIVE
+    GATHERV = "MPI_Gatherv", OpGroup.COLLECTIVE
+    ALLGATHER = "MPI_Allgather", OpGroup.COLLECTIVE
+    ALLTOALL = "MPI_Alltoall", OpGroup.COLLECTIVE
+    ALLTOALLV = "MPI_Alltoallv", OpGroup.COLLECTIVE
+    SCATTER = "MPI_Scatter", OpGroup.COLLECTIVE
+    PUT = "MPI_Put", OpGroup.ONE_SIDED
+    GET = "MPI_Get", OpGroup.ONE_SIDED
+    ACCUMULATE = "MPI_Accumulate", OpGroup.ONE_SIDED
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +82,7 @@ class TraceOp:
 
     @property
     def group(self) -> OpGroup:
-        return _GROUPS[self.kind]
+        return self.kind.group
 
     def uses_wildcard(self) -> bool:
         if self.kind not in (OpKind.IRECV, OpKind.RECV):
@@ -115,7 +103,7 @@ class RankTrace:
     def counts_by_group(self) -> dict[OpGroup, int]:
         counts = {group: 0 for group in OpGroup}
         for op in self.ops:
-            counts[op.group] += 1
+            counts[op.kind.group] += 1
         return counts
 
 

@@ -11,6 +11,7 @@ from repro.util.bitmap import Bitmap
 from repro.util.counters import MonotonicCounter, SequenceLabeler
 from repro.util.intrusive import IntrusiveList, IntrusiveNode
 from repro.util.rng import make_rng
+from repro.util.slotpool import SlotPool
 
 __all__ = [
     "Bitmap",
@@ -18,5 +19,6 @@ __all__ = [
     "SequenceLabeler",
     "IntrusiveList",
     "IntrusiveNode",
+    "SlotPool",
     "make_rng",
 ]

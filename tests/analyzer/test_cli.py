@@ -90,3 +90,27 @@ class TestCompareMode:
         code = main(["--compare", str(tmp_path / "a"), str(tmp_path / "b"),
                      "--bins", "32"])
         assert code == 1
+
+
+class TestFullReportAnalyzesOnce:
+    def test_report_and_metrics_share_one_analysis_per_bin_count(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from repro.analyzer.statistics import QueueDepthStats
+
+        analyzed = []
+        real = QueueDepthStats.from_datapoints.__func__
+
+        def counting(cls, bins, points, **kwargs):
+            analyzed.append(bins)
+            return real(cls, bins, points, **kwargs)
+
+        monkeypatch.setattr(QueueDepthStats, "from_datapoints", classmethod(counting))
+        metrics = tmp_path / "metrics.json"
+        # 3 and 5 are not powers of two, so the sizing search never visits them.
+        argv = ["--app", "AMG", "--processes", "8", "--rounds", "2", "--bins", "3,5"]
+        assert main(argv + ["--full-report", "--metrics-out", str(metrics)]) == 0
+        assert analyzed.count(3) == 1 and analyzed.count(5) == 1
+        out = capsys.readouterr().out
+        assert "matching profile" in out and "theory @5 bins" in out
+        assert "analysis.bins3.depth" in metrics.read_text()
