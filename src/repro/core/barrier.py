@@ -16,14 +16,13 @@ the slow path, or one about to store its message as unexpected, waits
 until every lower thread has settled its own message (§III-D.3b).
 
 All three waits are the same primitive: :meth:`PartialBarrier.wait_condition`
-hands the executor a predicate that is one masked compare per poll.
+hands the executor the bitmap word and the mask the thread waits on, so
+a waiter is re-examined only when that word changes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from repro.util.bitmap import Bitmap
+from repro.util.bitmap import Bitmap, MaskedWait
 
 __all__ = ["PartialBarrier"]
 
@@ -52,9 +51,9 @@ class PartialBarrier:
         """
         return self._bitmap.all_below(thread_id)
 
-    def wait_condition(self, thread_id: int) -> Callable[[], bool]:
-        """:meth:`passed` as a condition callable for the stepped
-        executor: one masked compare (and one call) per poll."""
+    def wait_condition(self, thread_id: int) -> MaskedWait:
+        """:meth:`passed` as a wait for the stepped executor: a
+        condition callable that also names the word it watches."""
         return self._bitmap.all_below_condition(thread_id)
 
     def reset(self) -> None:

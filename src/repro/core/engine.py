@@ -105,16 +105,14 @@ class OptimisticMatcher:
         history when ``keep_history`` is on (soak-safe memory)."""
         self.config = config if config is not None else EngineConfig()
         self.comm = comm
-        self.indexes = ReceiveIndexes(self.config.bins)
+        self.indexes = ReceiveIndexes(self.config.bins, skipped_classes(self.config))
         self.unexpected = UnexpectedIndexes(self.config.bins)
         self.table = DescriptorTable(self.config.max_receives, self.config.block_threads)
         self.stats = EngineStats(keep_history=keep_history, history_limit=history_limit)
         self._executor = SteppedExecutor(policy)
-        #: search_candidate bound to this engine's indexes and hints
-        #: (both fixed for its lifetime), so the skip set is built once.
-        self._search = partial(
-            search_candidate, self.indexes, self.config, skipped_classes(self.config)
-        )
+        #: search_candidate bound to this engine's indexes and config
+        #: (both fixed for its lifetime).
+        self._search = partial(search_candidate, self.indexes, self.config)
         self._post_labels = MonotonicCounter()
         self._sequencer = SequenceLabeler()
         #: Stamps MatchEvent.decision_order in semantic decision order.

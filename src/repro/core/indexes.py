@@ -25,7 +25,7 @@ bucket for free.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field
 
 from repro.core.constants import WildcardClass
@@ -148,11 +148,25 @@ class _FourStructures:
         return self.both_wildcard
 
 
+#: The order in which ``ReceiveIndexes.candidate_chains`` lists its targets.
+_SEARCH_ORDER = (WildcardClass.NONE, WildcardClass.SOURCE, WildcardClass.TAG, WildcardClass.BOTH)
+
+
 class ReceiveIndexes(_FourStructures):
     """The four posted-receive structures, plus insertion/search logic."""
 
-    def __init__(self, bins: int) -> None:
+    def __init__(self, bins: int, never_posted: Collection[WildcardClass] = ()) -> None:
+        """``never_posted``: wildcard classes no receive will ever be
+        posted in (communicator hints, fixed for the owner's lifetime);
+        :meth:`candidate_chains` leaves their structures out."""
         super().__init__(bins)
+        #: Positions of candidate_chains' four targets that are
+        #: searched; None when all are (no per-message filtering).
+        self._searched = (
+            tuple(i for i, wc in enumerate(_SEARCH_ORDER) if wc not in never_posted)
+            if never_posted
+            else None
+        )
         self._live = 0
         #: Chains holding lazily-marked nodes since the last sweep.
         self._dirty: set[IntrusiveList] = set()
@@ -176,21 +190,25 @@ class ReceiveIndexes(_FourStructures):
     ) -> list[
         tuple[WildcardClass, IntrusiveList, Callable[[ReceiveRequest, MessageEnvelope], bool]]
     ]:
-        """The four (class, chain, envelope-predicate) search targets.
+        """The (class, chain, envelope-predicate) search targets: four,
+        less the classes declared ``never_posted``.
 
-        For each incoming message all four indexes are probed with the
+        For each incoming message every index is probed with the
         appropriate key (Fig. 3). Buckets can contain colliding keys,
         so each chain comes with the residual predicate
         ``predicate(request, msg)`` that a chained receive must satisfy
         to be a real match.
         """
         hashes = message_hashes(msg)
-        return [
+        targets = [  # in _SEARCH_ORDER
             (WildcardClass.NONE, self.no_wildcard.bucket(hashes.src_tag), _same_source_and_tag),
             (WildcardClass.SOURCE, self.source_wildcard.bucket(hashes.tag_only), _same_tag),
             (WildcardClass.TAG, self.tag_wildcard.bucket(hashes.src_only), _same_source),
             (WildcardClass.BOTH, self.both_wildcard, _always),
         ]
+        if self._searched is None:
+            return targets
+        return [targets[i] for i in self._searched]
 
     def consume(self, descr: ReceiveDescriptor, *, lazy: bool) -> None:
         """Remove a matched receive from its index.

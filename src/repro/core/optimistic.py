@@ -28,7 +28,8 @@ __all__ = ["search_candidate", "skipped_classes"]
 
 
 def skipped_classes(config: EngineConfig) -> frozenset[WildcardClass]:
-    """Index classes the engine may skip thanks to communicator hints.
+    """Index classes the engine may skip thanks to communicator hints
+    (what it builds its ``ReceiveIndexes`` with as ``never_posted``).
 
     ``mpi_assert_no_any_source`` / ``mpi_assert_no_any_tag`` (§VII)
     guarantee no receive will ever live in the corresponding wildcard
@@ -48,7 +49,6 @@ def skipped_classes(config: EngineConfig) -> frozenset[WildcardClass]:
 def search_candidate(
     indexes: ReceiveIndexes,
     config: EngineConfig,
-    skip_classes: frozenset[WildcardClass],
     stats: BlockStats,
     thread_id: int,
     msg: MessageEnvelope,
@@ -59,9 +59,9 @@ def search_candidate(
 
     Parameters
     ----------
-    skip_classes:
-        ``skipped_classes(config)``, computed once by the engine — the
-        hints are fixed for a communicator's lifetime.
+    indexes:
+        Built with ``never_posted=skipped_classes(config)``, so hinted
+        classes are not among its search targets.
     early_skip:
         Apply the §IV-D early-booking check: skip candidates whose
         booking bitmap already has a bit below ``thread_id`` — some
@@ -74,8 +74,6 @@ def search_candidate(
 
     best: ReceiveDescriptor | None = None
     for wc, chain, predicate in indexes.candidate_chains(msg):
-        if wc in skip_classes:
-            continue
         stats.buckets_probed += 1
         if not (inline and wc is not WildcardClass.BOTH):
             # The double-wildcard list needs no hash; the three tables

@@ -16,20 +16,35 @@ generators under a pluggable policy:
 
 Yield protocol: a thread yields ``None`` to mark one step of work, or
 yields a zero-argument callable ``cond`` meaning "block me until
-``cond()`` is true". A blocked thread whose condition never becomes
-true while every other thread is blocked or finished is a deadlock and
-raises :class:`DeadlockError` — turning liveness bugs into test
-failures instead of hangs.
+``cond()`` is true" (engine threads yield a ``MaskedWait``, see
+below). A blocked thread whose condition never becomes true while
+every other thread is blocked or finished is a deadlock and raises
+:class:`DeadlockError` — turning liveness bugs into test failures
+instead of hangs.
 
 Poll rule (the cycle model prices it, see docs/CALIBRATION.md): a
-blocked thread's condition is evaluated once per scheduler step taken
-by *any* thread, first on the step after it blocked, in ascending
-thread-ID order; each evaluation is one ``wait_poll``. A wait whose
-condition is already true therefore still costs exactly one poll. The
-scheduler is incremental — it keeps the runnable set sorted and only
-ever touches the blocked threads — but that is an implementation
-detail: ``tests/core/reference_executor.py`` is the full-rescan model
-it must match step for step.
+blocked thread polls its condition once per scheduler step taken by
+*any* thread, first on the step after it blocked; each poll is one
+``wait_poll``. A wait whose condition is already true therefore still
+costs exactly one poll, and a thread that blocks on step *b* and is
+found runnable by the poll of step *w* has paid *w − b*.
+
+That is what is *charged*; it is not what the host does. The executor
+counts polls — ``wait_polls[tid] += w − b`` at the wake — and evaluates
+a condition only when its answer can have changed. An engine wait is
+data, a :class:`repro.util.bitmap.MaskedWait` naming the bitmap word
+the thread re-reads and its mask: blocked threads are grouped by word,
+and a group is looked at (one read of the word, then an inline masked
+compare per member) only on a step where the word differs from what
+the group's last evaluation saw, or where a newcomer joined it. Any
+other callable is the general case of the same loop: nothing is known
+about it, so it is called on every step, in ascending thread-ID order
+— and charged by the same subtraction. Conditions are predicates: one
+must not change what another reads.
+
+``tests/core/reference_executor.py`` is the model that really does
+poll every blocked thread on every step, and the executor must match
+it step for step (``test_threadsim_differential.py``).
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from bisect import bisect_right, insort
 from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass, field
 
+from repro.util.bitmap import MaskedWait
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -161,29 +177,65 @@ class SteppedExecutor:
         """
         self._policy.reset()
         pick = self._policy.pick
-        steps = [0] * len(threads)
-        wait_polls = [0] * len(threads)
-        # Thread IDs, both lists always ascending; together they are
-        # the alive set. conds[tid] is set exactly while tid is blocked.
-        runnable = list(range(len(threads)))
-        blocked: list[int] = []
-        conds: list[Callable[[], bool] | None] = [None] * len(threads)
-        budget = self._max_steps
+        count = len(threads)
+        steps = [0] * count
+        wait_polls = [0] * count
+        # Thread IDs, always ascending; with the blocked threads, the
+        # alive set.
+        runnable = list(range(count))
+        alive = count
+        step = 0  # scheduler steps taken so far
+        max_steps = self._max_steps
+        # A blocked thread is in exactly one place. One that yielded a
+        # MaskedWait is in the group of the word it watches, a
+        # [word, bits at the group's last evaluation, tids] triple
+        # (-1: a newcomer joined, evaluate regardless), with its mask
+        # in masks[tid]; a group outlives its waiters, so blocking
+        # allocates nothing (an engine block has three words). One
+        # that yielded any other callable is in `plain`, ascending,
+        # with the callable in conds[tid].
+        blocked = 0
+        blocked_at = [0] * count
+        groups: list[list] = []
+        masks = [0] * count
+        plain: list[int] = []
+        conds: list[Callable[[], bool] | None] = [None] * count
 
-        while runnable or blocked:
+        while alive:
             if blocked:
-                woken = False
-                for tid in blocked:
-                    wait_polls[tid] += 1
-                    if conds[tid]():
-                        conds[tid] = None
-                        insort(runnable, tid)
-                        woken = True
-                if woken:
-                    blocked = [tid for tid in blocked if conds[tid] is not None]
+                for group in groups:
+                    waiting = group[2]
+                    if not waiting:
+                        continue
+                    bits = group[0]._bits
+                    if bits == group[1]:
+                        continue  # every answer is what it was
+                    group[1] = bits
+                    woken = 0
+                    for tid in waiting:
+                        mask = masks[tid]
+                        if bits & mask == mask:
+                            wait_polls[tid] += step - blocked_at[tid]
+                            insort(runnable, tid)
+                            woken += 1
+                    if woken:
+                        blocked -= woken
+                        group[2] = [t for t in waiting if bits & masks[t] != masks[t]]
+                if plain:
+                    woken = 0
+                    for tid in plain:
+                        if conds[tid]():
+                            conds[tid] = None
+                            wait_polls[tid] += step - blocked_at[tid]
+                            insort(runnable, tid)
+                            woken += 1
+                    if woken:
+                        blocked -= woken
+                        plain = [t for t in plain if conds[t] is not None]
                 if not runnable:
+                    stuck = sorted(plain + [t for group in groups for t in group[2]])
                     raise DeadlockError(
-                        f"threads {blocked} are all blocked with unsatisfiable conditions"
+                        f"threads {stuck} are all blocked with unsatisfiable conditions"
                     )
             tid = pick(runnable)
             steps[tid] += 1
@@ -191,14 +243,30 @@ class SteppedExecutor:
                 yielded = threads[tid].send(None)
             except StopIteration:
                 runnable.remove(tid)
+                alive -= 1
             else:
                 if yielded is not None:
                     runnable.remove(tid)
-                    conds[tid] = yielded
-                    insort(blocked, tid)
-            budget -= 1
-            if budget <= 0:
+                    blocked += 1
+                    # Polled from the next step on: waking at step w
+                    # costs w - blocked_at polls.
+                    blocked_at[tid] = step
+                    if type(yielded) is MaskedWait:
+                        masks[tid] = yielded.mask
+                        word = yielded.word
+                        for group in groups:
+                            if group[0] is word:
+                                group[1] = -1
+                                group[2].append(tid)
+                                break
+                        else:
+                            groups.append([word, -1, [tid]])
+                    else:
+                        conds[tid] = yielded
+                        insort(plain, tid)
+            step += 1
+            if step >= max_steps:
                 raise RuntimeError(
-                    f"executor exceeded {self._max_steps} steps; likely livelock"
+                    f"executor exceeded {max_steps} steps; likely livelock"
                 )
         return ThreadStats(steps=steps, wait_polls=wait_polls)

@@ -252,7 +252,7 @@ class ClusterSim:
         self.plan = plan
         self.fabric = Fabric(topology, plan=plan)
         self.recorder: FlightRecorder = FlightRecorder() if record else NULL_RECORDER
-        self.recorder.set_clock(lambda: float(self.fabric.clock))
+        self.recorder.set_clock(self.fabric.now)
         self.eager_threshold = eager_threshold
         self.reliability = (
             reliability if reliability is not None else CLUSTER_RELIABILITY

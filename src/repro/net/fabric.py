@@ -182,9 +182,10 @@ class Fabric:
         hops: list[Hop] = []
         transfer = Transfer(src, dst, size, inject=t, arrival=t, hops=())
         self.injected += 1
+        faulty = not self.schedule.is_clean  # no window: no link is ever down
         for link_name in self.routes.path(src, dst):
             state = self._links[link_name]
-            if self.schedule.down(link_name, t):
+            if faulty and self.schedule.down(link_name, t):
                 state.stats.drops += 1
                 self.dropped += 1
                 transfer.dropped = True

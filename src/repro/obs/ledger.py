@@ -240,8 +240,23 @@ class FlightRecorder:
         consecutive identical phases dedupe (double-stamping ``umq``
         from two layers is safe); timestamps are clamped monotone
         within a record so attribution segments never go negative.
+
+        This is the per-packet path of every instrumented layer, so it
+        applies those rules itself; :meth:`stamp_at` states them again
+        for an explicit timestamp and the two must stay in step.
         """
-        self.stamp_at(mid, phase, self.now(), **detail)
+        rec = self.records.get(mid)
+        if rec is None:
+            return
+        ts = self.now()
+        tr = rec.transitions
+        if tr:
+            last_ts, last_phase, _ = tr[-1]
+            if last_phase == phase or last_phase == "complete":
+                return
+            if ts < last_ts:
+                ts = last_ts
+        tr.append((ts, phase, detail or None))
 
     def stamp_at(self, mid: int, phase: str, ts: float, **detail: Any) -> None:
         """Record a phase transition at an explicit timestamp.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.engine import OptimisticMatcher
-from repro.core.envelope import MessageEnvelope, ReceiveRequest
+from repro.core.envelope import InlineHashes, MessageEnvelope, ReceiveRequest
 from repro.core.events import MatchEvent, MatchKind
 from repro.core.hashing import compute_inline_hashes
 from repro.obs.ledger import NULL_RECORDER, FlightRecorder
@@ -93,6 +93,8 @@ class RdmaSender:
         #: Eager-eligible sends demoted to rendezvous by the probe.
         self.demotions = 0
         self._send_seq: dict[tuple[int, int], int] = {}
+        #: tag -> the §IV-D inline hash words of (this rank, tag).
+        self._tag_hashes: dict[int, tuple[int, int, int]] = {}
 
     def send(self, tag: int, payload: bytes, comm: int = 0) -> MessageHeader:
         """Send one message; protocol chosen by size (and, under
@@ -102,8 +104,10 @@ class RdmaSender:
         self._send_seq[key] = seq + 1
         hashes = None
         if self.inline_hashes:
-            ih = compute_inline_hashes(self.rank, tag)
-            hashes = (ih.src_tag, ih.tag_only, ih.src_only)
+            hashes = self._tag_hashes.get(tag)
+            if hashes is None:
+                ih = compute_inline_hashes(self.rank, tag)
+                hashes = self._tag_hashes[tag] = (ih.src_tag, ih.tag_only, ih.src_only)
         eager = len(payload) <= self.eager_threshold
         eager_eligible = eager
         if eager and self.demote_probe is not None and self.demote_probe(len(payload)):
@@ -214,8 +218,6 @@ class RdmaReceiver:
 
         Returns the number of completions processed.
         """
-        from repro.core.envelope import InlineHashes
-
         completions = [
             (qp, cqe) for qp in self.qps for cqe in qp.poll(limit=1_000_000)
         ]

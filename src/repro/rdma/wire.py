@@ -17,9 +17,14 @@ therefore an *implemented* invariant here, not an assumed one.
 
 from __future__ import annotations
 
+import dataclasses
+import marshal
 import zlib
 from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import cache
+from operator import attrgetter
 from typing import Any
 
 __all__ = ["Packet", "Wire", "Endpoint", "packet_checksum"]
@@ -42,17 +47,56 @@ class Packet:
     checksum: int | None = None
 
 
+#: Types written into the image as they are.
+_LEAVES = frozenset({int, str, bytes, bytearray, float, bool, type(None)})
+
+
+@cache
+def _record_fields(kind: type) -> Callable[[Any], tuple]:
+    """The getter of a dataclass type's field values, in declaration order."""
+    if not dataclasses.is_dataclass(kind):
+        raise TypeError(f"cannot checksum a {kind.__name__}: not plain data or a dataclass")
+    names = [f.name for f in dataclasses.fields(kind)]
+    if len(names) == 1:
+        names.append(names[0])  # attrgetter returns a bare value for one name
+    return attrgetter(*names)
+
+
+def _flatten(items: Iterable[Any], out: list) -> None:
+    """Append the plain-data mirror of each of ``items`` to ``out``:
+    leaves as they are, a sequence as a list, a dataclass instance as
+    a list of its type name and field values, a dict as a list of its
+    items in insertion order."""
+    for item in items:
+        kind = type(item)
+        if kind in _LEAVES:
+            out += (item,)
+            continue
+        if kind is tuple or kind is list:
+            sub: list = []
+        elif kind is dict:
+            sub, item = ["dict"], item.items()
+        else:
+            sub, item = [kind.__name__], _record_fields(kind)(item)
+        _flatten(item, sub)
+        out += (sub,)
+
+
 def packet_checksum(opcode: str, payload: Any) -> int:
     """Deterministic 32-bit checksum over an opcode/payload pair.
 
-    Bytes payloads are hashed directly; anything else goes through its
-    ``repr`` (headers are frozen dataclasses, so reprs are stable).
+    The CRC runs over a canonical byte image of every field: the
+    payload is mirrored as nested lists of builtin scalars and byte
+    strings (:func:`_flatten`; frames nest a PSN, the inner packet,
+    its header dataclass and its payload bytes) and written with
+    ``marshal`` format 0, which encodes those types by value alone —
+    no ``__repr__`` takes part, so changing how a header prints cannot
+    change what the wire accepts. Anything that is neither plain data
+    nor a dataclass raises ``TypeError`` rather than going unprotected.
     """
-    if isinstance(payload, (bytes, bytearray)):
-        body = bytes(payload)
-    else:
-        body = repr(payload).encode()
-    return zlib.crc32(opcode.encode() + b"|" + body) & 0xFFFFFFFF
+    image = [opcode]
+    _flatten((payload,), image)
+    return zlib.crc32(marshal.dumps(image, 0))
 
 
 @dataclass(slots=True)

@@ -16,9 +16,7 @@ on machine words for the widths used in practice (N <= 64).
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-__all__ = ["Bitmap"]
+__all__ = ["Bitmap", "MaskedWait"]
 
 
 class Bitmap:
@@ -51,9 +49,14 @@ class Bitmap:
         if not 0 <= index < self._width:
             raise IndexError(f"bit {index} out of range [0, {self._width})")
 
+    # set / test / any_below run once or more per message on the
+    # engine's hot path, so they test the range inline and leave the
+    # call to _check for the failing case.
+
     def set(self, index: int) -> None:
         """Set bit ``index`` (models atomic fetch-or)."""
-        self._check(index)
+        if not 0 <= index < self._width:
+            self._check(index)
         self._bits |= 1 << index
 
     def clear(self, index: int) -> None:
@@ -63,7 +66,8 @@ class Bitmap:
 
     def test(self, index: int) -> bool:
         """Return whether bit ``index`` is set."""
-        self._check(index)
+        if not 0 <= index < self._width:
+            self._check(index)
         return bool(self._bits >> index & 1)
 
     def reset(self) -> None:
@@ -101,7 +105,8 @@ class Bitmap:
         This is the early-booking-check primitive (§IV-D): if a lower
         thread already booked the receive, a higher thread can skip it.
         """
-        self._check(index)
+        if not 0 <= index < self._width:
+            self._check(index)
         return bool(self._bits & ((1 << index) - 1))
 
     def all_below(self, index: int) -> bool:
@@ -113,16 +118,17 @@ class Bitmap:
         mask = (1 << index) - 1
         return (self._bits & mask) == mask
 
-    def all_below_condition(self, index: int) -> Callable[[], bool]:
-        """:meth:`all_below` as a zero-argument predicate for spin waits.
+    def all_below_condition(self, index: int) -> MaskedWait:
+        """:meth:`all_below` as a wait condition for spin waits.
 
-        The range check and the mask are paid once here, so each poll
-        is a single call doing one masked compare — the bitmap word is
-        all a waiting DPA thread re-reads.
+        The range check and the mask are paid once here; what comes
+        back says *which word* the waiter re-reads and under *which
+        mask*, so a scheduler can tell when a poll could change its
+        answer.
         """
-        self._check(index)
-        mask = (1 << index) - 1
-        return lambda: self._bits & mask == mask
+        if not 0 <= index < self._width:
+            self._check(index)
+        return MaskedWait(self, (1 << index) - 1)
 
     def set_indexes(self) -> list[int]:
         """Sorted list of set bit indexes (diagnostics/tests)."""
@@ -135,3 +141,26 @@ class Bitmap:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Bitmap(width={self._width}, bits={self._bits:#x})"
+
+
+class MaskedWait:
+    """The wait "every bit of ``mask`` is set in ``word``", as data.
+
+    Calling it evaluates the condition, so it is a valid wait for any
+    scheduler that only knows zero-argument predicates. A scheduler
+    that looks inside (:class:`repro.core.threadsim.SteppedExecutor`)
+    reads ``word._bits`` itself: the answer can only change when that
+    integer does, which is what lets it skip the polls in between.
+    """
+
+    __slots__ = ("word", "mask")
+
+    def __init__(self, word: Bitmap, mask: int) -> None:
+        self.word = word
+        self.mask = mask
+
+    def __call__(self) -> bool:
+        return self.word._bits & self.mask == self.mask
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"MaskedWait({self.word!r}, mask={self.mask:#x})"

@@ -37,6 +37,18 @@ class TestPartialBarrier:
         assert not barrier.entered(0)
         assert not barrier.passed(1)
 
+    def test_wait_condition_names_the_word_and_the_lower_threads(self):
+        barrier = PartialBarrier(4)
+        wait = barrier.wait_condition(2)
+        assert wait.mask == 0b011
+        assert not wait()
+        barrier.enter(0)
+        barrier.enter(1)
+        assert wait() and barrier.passed(2)
+        # Waits of one barrier watch one word: that is what lets the
+        # executor look at all of them at once.
+        assert barrier.wait_condition(3).word is wait.word
+
     def test_under_executor_orders_exits(self):
         """Whatever the schedule, barrier exit order must respect IDs:
         thread i exits only after all j < i entered."""

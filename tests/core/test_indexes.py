@@ -46,6 +46,20 @@ class TestReceiveIndexes:
             WildcardClass.BOTH,
         ]
 
+    def test_never_posted_classes_are_not_search_targets(self, indexes):
+        msg = MessageEnvelope(source=1, tag=2)
+        hinted = ReceiveIndexes(bins=8, never_posted={WildcardClass.SOURCE, WildcardClass.BOTH})
+        assert [wc for wc, _, _ in hinted.candidate_chains(msg)] == [
+            WildcardClass.NONE,
+            WildcardClass.TAG,
+        ]
+        # The targets that remain are the ones an unhinted index offers.
+        for (wc, chain, pred), (_, full_chain, full_pred) in zip(
+            hinted.candidate_chains(msg), indexes.candidate_chains(msg)[::2]
+        ):
+            assert pred is full_pred
+            assert type(chain) is type(full_chain)
+
     def test_candidate_predicates(self, indexes, table):
         d_exact = post(indexes, table, 1, 2, 0)
         d_src = post(indexes, table, ANY_SOURCE, 2, 1)

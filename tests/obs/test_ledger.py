@@ -98,6 +98,36 @@ class TestLifecycle:
         recorder.stamp(mid, "engine")  # after complete: ignored
         assert recorder.records[mid].transitions[-1][1] == "complete"
 
+    def test_stamp_at_follows_the_rules_of_stamp(self, clocked):
+        """The two state the dedupe / post-complete / clamp rules
+        separately (``stamp`` is the per-packet path): whatever script
+        of stamps one records, the other records too."""
+        script = [
+            (3.0, "wire", {"psn": 4}),
+            (5.0, "wire", {}),  # same phase again: ignored
+            (2.0, "cq", {}),  # behind the record's clock: clamped to 3.0
+            (6.0, "complete", {}),
+            (7.0, "engine", {"late": True}),  # after complete: ignored
+        ]
+        recorder, clock = clocked
+        by_clock = recorder.open(source=0, tag=1)
+        explicit = recorder.open(source=0, tag=1)
+        for ts, phase, detail in script:
+            clock.t = ts
+            recorder.stamp(by_clock, phase, **detail)
+            clock.t = 99.0  # stamp_at must not look at the clock
+            recorder.stamp_at(explicit, phase, ts, **detail)
+            recorder.stamp_at(999, phase, ts)  # foreign traffic
+        clock.t = 0.0
+        assert recorder.records[by_clock].transitions == [
+            (0.0, "send", None),
+            (3.0, "wire", {"psn": 4}),
+            (3.0, "cq", None),
+            (6.0, "complete", None),
+        ]
+        assert recorder.records[explicit].transitions == recorder.records[by_clock].transitions
+        assert 999 not in recorder.records
+
     def test_without_clock_stamps_read_zero(self):
         recorder = FlightRecorder()
         mid = recorder.open(source=0, tag=1)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.bitmap import Bitmap
+from repro.util.bitmap import Bitmap, MaskedWait
 
 
 class TestBasics:
@@ -62,6 +62,11 @@ class TestBasics:
             bm.set(index)
         with pytest.raises(IndexError):
             bm.test(index)
+        with pytest.raises(IndexError):
+            bm.any_below(index)
+        with pytest.raises(IndexError):
+            bm.all_below_condition(index)
+        assert bm.value == 0
 
 
 class TestQueries:
@@ -98,6 +103,27 @@ class TestQueries:
         bm.set(1)
         assert bm.all_below(2)
         assert not bm.all_below(3)
+
+    def test_all_below_condition_is_the_wait_as_data(self):
+        bm = Bitmap(8)
+        wait = bm.all_below_condition(3)
+        assert type(wait) is MaskedWait
+        assert wait.word is bm and wait.mask == 0b111
+        # ...and still a plain zero-argument condition, tracking the word.
+        assert not wait()
+        for index in (0, 1, 2):
+            bm.set(index)
+        assert wait()
+        bm.clear(1)
+        assert not wait()
+
+    @given(st.integers(0, 255), st.integers(0, 255))
+    def test_masked_wait_is_a_masked_compare(self, bits, mask):
+        bm = Bitmap(8)
+        for index in range(8):
+            if bits >> index & 1:
+                bm.set(index)
+        assert MaskedWait(bm, mask)() == (bits & mask == mask)
 
     def test_set_indexes_sorted(self):
         bm = Bitmap(16)
