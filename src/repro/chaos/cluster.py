@@ -139,7 +139,8 @@ def soak(
             result.failed.append(f"{name}/seed={seed}")
             print(
                 f"FAIL {name} seed={seed}: {len(res['violations'])} violations, "
-                f"{res['undelivered']} undelivered",
+                f"{res['undelivered']} undelivered, conservation "
+                f"{res['conservation']}",
                 file=err,
             )
         elif name == "clean" and res["transport"]["retransmits"]:

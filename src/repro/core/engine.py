@@ -35,9 +35,9 @@ from repro.core.constants import ANY_SOURCE, ANY_TAG
 from repro.core.descriptor import DescriptorTable, ReceiveDescriptor
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
 from repro.core.events import MatchEvent, MatchKind, ResolutionPath
+from repro.core.hashing import receive_hash
 from repro.core.indexes import (
     ReceiveIndexes,
-    SearchProbeCount,
     UnexpectedIndexes,
     UnexpectedMessage,
 )
@@ -77,7 +77,10 @@ class _BlockContext:
         #: stored the message unexpected).
         self.resolved = PartialBarrier(width)
         self.candidates: list[ReceiveDescriptor | None] = [None] * len(messages)
-        self.outcomes: list[MatchEvent | None] = [None] * len(messages)
+        #: Per thread, what it decided: ``(kind, receive, post label,
+        #: path)``. The block epilogue turns each into the thread's one
+        #: :class:`MatchEvent`, stamped with its decision order.
+        self.outcomes: list[tuple | None] = [None] * len(messages)
         self.stats = BlockStats(messages=len(messages))
 
     @property
@@ -185,8 +188,11 @@ class OptimisticMatcher:
             raise HintViolation("mpi_assert_no_any_tag was declared")
 
         self.stats.receives_posted += 1
-        probes = SearchProbeCount()
-        stored = self.unexpected.search(request, probes)
+        # One hash per posting: the word addresses the receive's bucket
+        # in the unexpected store and in its own index alike.
+        wc = request.wildcard_class()
+        word = receive_hash(wc, request.source, request.tag)
+        stored = self.unexpected.search_chain(self.unexpected.chain_for(wc, word), request)
         if stored is not None:
             self.unexpected.remove(stored)
             if self.pressure is not None:
@@ -219,7 +225,7 @@ class OptimisticMatcher:
             if self.pressure is not None:
                 self.pressure.release_descriptor()
             raise
-        self.indexes.insert(descr)
+        self.indexes.insert_at(self.indexes.chain_for(wc, word), descr)
         return None
 
     def cancel_receive(self, handle: int) -> bool:
@@ -323,8 +329,7 @@ class OptimisticMatcher:
         run_stats = self._executor.run(threads)
         ctx.stats.wait_polls = run_stats.total_wait_polls()
         ctx.stats.thread_steps = run_stats.steps
-        self._finish_block(ctx)
-        events = [outcome for outcome in ctx.outcomes if outcome is not None]
+        events = self._finish_block(ctx)
         if len(events) != len(batch):  # pragma: no cover - internal invariant
             raise AssertionError("every block thread must produce exactly one outcome")
         return events
@@ -457,13 +462,7 @@ class OptimisticMatcher:
             )
         self.indexes.consume(descr, lazy=True)
         self._marked_since_sweep += 1
-        ctx.outcomes[tid] = MatchEvent(
-            kind=MatchKind.EXPECTED,
-            message=ctx.messages[tid],
-            receive=descr.request,
-            receive_post_label=descr.post_label,
-            path=path,
-        )
+        ctx.outcomes[tid] = (MatchKind.EXPECTED, descr.request, descr.post_label, path)
         self.table.release(descr)
         if self.pressure is not None:
             self.pressure.release_descriptor()
@@ -487,32 +486,23 @@ class OptimisticMatcher:
         ctx.stats.unexpected += 1
         if self.recorder is not None:
             self.recorder.stamp(msg.mid, "umq", thread=tid)
-        ctx.outcomes[tid] = MatchEvent(
-            kind=MatchKind.STORED_UNEXPECTED,
-            message=msg,
-            receive=None,
-            receive_post_label=None,
-        )
+        ctx.outcomes[tid] = (MatchKind.STORED_UNEXPECTED, None, None, ResolutionPath.SERIAL)
         if self._observer is not None:
             self._observer(
                 "unexpected", {"thread": tid, "source": msg.source, "tag": msg.tag}
             )
 
-    def _finish_block(self, ctx: _BlockContext) -> None:
-        """Block epilogue: decision stamping, sweep policy, stats."""
+    def _finish_block(self, ctx: _BlockContext) -> list[MatchEvent]:
+        """Block epilogue: the block's events, sweep policy, stats."""
         # Decisions inside a block are semantically ordered by message
         # arrival (= thread ID), whatever order the scheduler actually
         # resolved them in.
-        for tid, outcome in enumerate(ctx.outcomes):
-            if outcome is not None:
-                ctx.outcomes[tid] = MatchEvent(
-                    outcome.kind,
-                    outcome.message,
-                    outcome.receive,
-                    outcome.receive_post_label,
-                    outcome.path,
-                    self.decisions.next(),
-                )
+        next_decision = self.decisions.next
+        events = [
+            MatchEvent(outcome[0], message, outcome[1], outcome[2], outcome[3], next_decision())
+            for message, outcome in zip(ctx.messages, ctx.outcomes)
+            if outcome is not None
+        ]
         if self.config.lazy_removal:
             # Amortized cleanup: sweep only once enough consumed nodes
             # accumulated (they cost extra probe walks until then).
@@ -539,6 +529,7 @@ class OptimisticMatcher:
                     "steps_total": sum(ctx.stats.thread_steps),
                 },
             )
+        return events
 
     # ------------------------------------------------------------------
     # State export (software fallback migration, diagnostics)

@@ -70,9 +70,13 @@ class MessageEnvelope:
         return (self.source, self.tag)
 
     def with_arrival(self, arrival: int) -> "MessageEnvelope":
-        """A copy stamped with its completion-queue position. Spelled
-        out because every message passes through here and
-        ``dataclasses.replace`` costs more than twice as much."""
+        """This envelope stamped with its completion-queue position:
+        itself when it already carries that stamp (envelopes are
+        immutable, so the copy would be indistinguishable), else a
+        copy — spelled out because every message passes through here
+        and ``dataclasses.replace`` costs more than twice as much."""
+        if arrival == self.arrival:
+            return self
         return MessageEnvelope(
             self.source,
             self.tag,

@@ -26,6 +26,7 @@ violation, with the message's ledger passport attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Mapping
 
 from repro.core.engine import OptimisticMatcher
@@ -147,9 +148,15 @@ class ClusterReport:
 
     @property
     def ok(self) -> bool:
+        """No C2 violation, nothing undelivered, and every audited
+        message's wire phase explained by a fabric injection (the one
+        that opened it, or a retransmitted copy)."""
+        cons = self.results.get("conservation", {})
         return (
             not self.results.get("violations")
             and self.results.get("undelivered", 0) == 0
+            and cons.get("checked", 0)
+            == cons.get("exact", 0) + cons.get("recovered", 0)
         )
 
     def to_dict(self) -> dict:
@@ -252,7 +259,9 @@ class ClusterSim:
         self.plan = plan
         self.fabric = Fabric(topology, plan=plan)
         self.recorder: FlightRecorder = FlightRecorder() if record else NULL_RECORDER
-        self.recorder.set_clock(self.fabric.now)
+        # The ledger's clock is the fabric's tick counter, read as an
+        # attribute: every stamp of every message asks for it.
+        self.recorder.set_clock(partial(getattr, self.fabric, "clock"))
         self.eager_threshold = eager_threshold
         self.reliability = (
             reliability if reliability is not None else CLUSTER_RELIABILITY
@@ -309,17 +318,18 @@ class ClusterSim:
 
     def _pairs(self) -> set[tuple[int, int]]:
         """Unordered communicating pairs, derived from the trace."""
+        sends = (OpKind.ISEND, OpKind.SEND)
+        recvs = (OpKind.IRECV, OpKind.RECV)
+        nprocs = self.nprocs
         pairs: set[tuple[int, int]] = set()
         for rank_trace in self.trace.ranks:
             me = rank_trace.rank
             for op in rank_trace.ops:
-                if op.kind in (OpKind.ISEND, OpKind.SEND) and op.peer >= 0:
-                    pairs.add((min(me, op.peer), max(me, op.peer)))
-                elif (
-                    op.kind in (OpKind.IRECV, OpKind.RECV)
-                    and 0 <= op.peer < self.nprocs
+                peer = op.peer
+                if (op.kind in sends and peer >= 0) or (
+                    op.kind in recvs and 0 <= peer < nprocs
                 ):
-                    pairs.add((min(me, op.peer), max(me, op.peer)))
+                    pairs.add((me, peer) if me < peer else (peer, me))
         return pairs
 
     def _connect(self, a: int, b: int) -> None:
@@ -402,19 +412,22 @@ class ClusterSim:
     def _step_rank(self, node: _Rank) -> bool:
         """Run ``node`` until it blocks; True if any op executed."""
         moved = False
-        while node.pc < len(node.ops):
-            op = node.ops[node.pc]
-            if op.kind in (OpKind.IRECV, OpKind.RECV):
+        ops = node.ops
+        end = len(ops)
+        while node.pc < end:
+            op = ops[node.pc]
+            kind = op.kind
+            if kind is OpKind.IRECV or kind is OpKind.RECV:
                 handle = self._post_receive(node, op)
                 node.pc += 1
                 moved = True
-                if op.kind is OpKind.RECV and not node.recvs[handle].done:
+                if kind is OpKind.RECV and not node.recvs[handle].done:
                     break  # blocking receive
-            elif op.kind in (OpKind.ISEND, OpKind.SEND):
+            elif kind is OpKind.ISEND or kind is OpKind.SEND:
                 self._send(node, op)
                 node.pc += 1
                 moved = True
-            elif op.kind in (OpKind.WAIT, OpKind.WAITALL):
+            elif kind is OpKind.WAIT or kind is OpKind.WAITALL:
                 if not self._wait_satisfied(node, op):
                     break
                 node.pc += 1
@@ -430,12 +443,12 @@ class ClusterSim:
 
     def _check_completions(self, node: _Rank) -> int:
         completed = node.receiver.completed
-        fresh = 0
-        while node.consumed < len(completed):
-            delivery = completed[node.consumed]
-            node.consumed += 1
-            fresh += 1
-            self.deliveries += 1
+        fresh = len(completed) - node.consumed
+        if not fresh:
+            return 0
+        self.deliveries += fresh
+        first, node.consumed = node.consumed, len(completed)
+        for delivery in completed[first:]:
             meta = node.recvs.get(delivery.handle)
             if meta is None:
                 continue
@@ -566,25 +579,24 @@ class ClusterSim:
             if wire_ts is None or staged_ts is None:
                 continue
             checked += 1
-            matched = False
+            # A message no injection explains is counted in neither
+            # ``exact`` nor ``recovered``: ``ClusterReport.ok`` requires
+            # the three to add up.
             for ts, name, detail in rec.events:
                 if name != "fabric_hops" or not detail or detail["dropped"]:
                     continue
-                hop_sum = sum(t_out - t_in for _, t_in, t_out in detail["hops"])
-                if (
-                    detail["arrival"] == staged_ts
-                    and hop_sum == detail["arrival"] - detail["inject"]
-                ):
-                    if detail["inject"] == wire_ts:
+                arrival, inject = detail["arrival"], detail["inject"]
+                if arrival != staged_ts:
+                    continue
+                hop_sum = 0
+                for _, t_in, t_out in detail["hops"]:
+                    hop_sum += t_out - t_in
+                if hop_sum == arrival - inject:
+                    if inject == wire_ts:
                         exact += 1
                     else:
                         recovered += 1  # a retransmitted copy delivered
-                    matched = True
                     break
-            if not matched:
-                # Conservation failure: no injection explains the
-                # observed wire phase.
-                pass
         return {"checked": checked, "exact": exact, "recovered": recovered}
 
     def report(self) -> ClusterReport:
@@ -595,8 +607,7 @@ class ClusterSim:
                 if not rec.completed:
                     continue
                 completed_records += 1
-                for phase, duration in rec.phase_durations().items():
-                    totals[phase] = totals.get(phase, 0.0) + duration
+                rec.fold_phases(totals)
         outstanding = sum(len(node.outstanding) for node in self.ranks)
         retransmits = sum(wire.stats.retransmits for wire in self.wires)
         rnr = sum(wire.stats.rnr_naks for wire in self.wires)

@@ -65,26 +65,43 @@ class Hop:
 
 @dataclass(slots=True)
 class Transfer:
-    """One packet's passage through the fabric."""
+    """One packet's passage through the fabric.
+
+    The schedule is kept as the fabric computed it: ``route`` is the
+    flow's static link sequence (shared by every packet of the flow)
+    and ``times`` the tick at each boundary — the packet enters
+    ``route[i]`` at ``times[i]`` and leaves its far end at
+    ``times[i + 1]``. A dropped packet has fewer boundaries than its
+    route has links. :attr:`hops` is that schedule as objects, built
+    when somebody asks.
+    """
 
     src: str
     dst: str
     size: int
     inject: int
-    arrival: int
-    hops: tuple[Hop, ...]
+    route: tuple[str, ...]
+    times: list[int]
+    arrival: int = 0
     dropped: bool = False
     drop_link: str = ""
 
+    @property
+    def hops(self) -> tuple[Hop, ...]:
+        times = self.times
+        return tuple(
+            Hop(link, t_in, t_out)
+            for link, t_in, t_out in zip(self.route, times, times[1:])
+        )
+
     def conserved(self) -> bool:
-        """Per-hop durations telescope exactly to end-to-end time."""
-        t = self.inject
-        for hop in self.hops:
-            if hop.t_in != t:
-                return False
-            t = hop.t_out
-        end = self.arrival if not self.dropped else t
-        return t == end
+        """The schedule spans exactly inject -> arrival (for a dropped
+        packet, inject -> where it stopped). Consecutive hops share
+        their boundary tick by construction, so their durations
+        telescope to that span."""
+        return self.times[0] == self.inject and (
+            self.dropped or self.times[-1] == self.arrival
+        )
 
 
 @dataclass(slots=True)
@@ -104,10 +121,28 @@ class LinkStats:
 
 @dataclass(slots=True)
 class _LinkState:
+    name: str
     latency: int
     bandwidth: int
     busy_until: int = 0
     stats: LinkStats = field(default_factory=LinkStats)
+
+
+class _Flows(dict):
+    """``(src, dst) -> (route, its link states)``, resolved on a flow's
+    first packet: routes are static, so what a packet needs of its
+    route is a function of the connection, not of the packet."""
+
+    __slots__ = ("_routes", "_links")
+
+    def __init__(self, routes: RouteTable, links: dict[str, _LinkState]) -> None:
+        self._routes = routes
+        self._links = links
+
+    def __missing__(self, flow: tuple[str, str]):
+        route = self._routes.path(*flow)
+        resolved = self[flow] = (route, tuple(self._links[name] for name in route))
+        return resolved
 
 
 class Fabric:
@@ -119,18 +154,20 @@ class Fabric:
         *,
         routes: RouteTable | None = None,
         plan: LinkFaultPlan | None = None,
-        keep_transfers: bool = True,
     ) -> None:
         self.topology = topology
         self.routes = routes if routes is not None else RouteTable(topology)
         self.schedule: FaultSchedule = (
             plan.compile(topology) if plan is not None else FaultSchedule({})
         )
+        #: No window: no link is ever down, and inject never asks.
+        self._faulty = not self.schedule.is_clean
         self.clock = 0
         self._links: dict[str, _LinkState] = {
-            name: _LinkState(link.latency, link.bandwidth)
+            name: _LinkState(name, link.latency, link.bandwidth)
             for name, link in topology.links.items()
         }
+        self._flows = _Flows(self.routes, self._links)
         #: port -> min-heap of (arrival, seq, packet, transfer).
         self._ports: dict[str, list] = {}
         #: control-plane ports (management lane, own heaps/counters).
@@ -141,10 +178,6 @@ class Fabric:
         self.dropped = 0
         self.control_injected = 0
         self.control_delivered = 0
-        self.keep_transfers = keep_transfers
-        #: Every transfer ever injected (conservation audits); cleared
-        #: by callers that run long soaks with ``keep_transfers=False``.
-        self.transfers: list[Transfer] = []
 
     def now(self) -> float:
         return float(self.clock)
@@ -155,10 +188,20 @@ class Fabric:
 
     # -- ports -----------------------------------------------------------
 
-    def attach(self, port: str) -> None:
+    def attach(self, port: str) -> list:
+        """Create ``port``; returns its arrival heap.
+
+        The heap holds ``(arrival, seq, packet, transfer)`` for every
+        packet in flight toward the port, earliest first. A port's
+        owner that polls once per tick (:class:`repro.net.fabricwire.
+        FabricWire`) reads the head itself; whoever pops an entry whose
+        arrival the clock has reached counts it in ``delivered``, as
+        :meth:`deliver` does.
+        """
         if port in self._ports:
             raise ValueError(f"duplicate port {port!r}")
-        self._ports[port] = []
+        heap = self._ports[port] = []
+        return heap
 
     def pending(self, port: str) -> int:
         """Packets in flight toward (or ready at) ``port``."""
@@ -178,40 +221,40 @@ class Fabric:
         tick unless a down link on the route drops it.
         """
         heap = self._ports[port]
+        route, states = self._flows[src, dst]
         t = self.clock
-        hops: list[Hop] = []
-        transfer = Transfer(src, dst, size, inject=t, arrival=t, hops=())
+        times = [t]
+        transfer = Transfer(src, dst, size, t, route, times)
         self.injected += 1
-        faulty = not self.schedule.is_clean  # no window: no link is ever down
-        for link_name in self.routes.path(src, dst):
-            state = self._links[link_name]
-            if faulty and self.schedule.down(link_name, t):
-                state.stats.drops += 1
+        faulty = self._faulty
+        for state in states:
+            stats = state.stats
+            if faulty and self.schedule.down(state.name, t):
+                stats.drops += 1
                 self.dropped += 1
                 transfer.dropped = True
-                transfer.drop_link = link_name
+                transfer.drop_link = state.name
                 break
-            start = max(t, state.busy_until)
+            start = state.busy_until
+            if start < t:
+                start = t
             wait = start - t
-            ser = max(1, -(-size // state.bandwidth))
+            ser = -(-size // state.bandwidth)  # ceil
+            if ser < 1:
+                ser = 1
             state.busy_until = start + ser
-            out = start + ser + state.latency
-            stats = state.stats
+            t = start + ser + state.latency
             stats.packets += 1
             stats.bytes += size
             stats.busy_ticks += ser
             stats.wait_ticks += wait
             if wait > stats.peak_wait:
                 stats.peak_wait = wait
-            hops.append(Hop(link_name, t, out))
-            t = out
-        transfer.hops = tuple(hops)
+            times.append(t)
         transfer.arrival = t
-        if self.keep_transfers:
-            self.transfers.append(transfer)
         if not transfer.dropped:
             self._seq += 1
-            heapq.heappush(heap, (transfer.arrival, self._seq, packet, transfer))
+            heapq.heappush(heap, (t, self._seq, packet, transfer))
         return transfer
 
     def deliver(self, port: str):
@@ -239,9 +282,7 @@ class Fabric:
         serialization tick. No queueing — the management lane never
         contends with data traffic.
         """
-        return sum(
-            self._links[name].latency + 1 for name in self.routes.path(src, dst)
-        )
+        return sum(state.latency + 1 for state in self._flows[src, dst][1])
 
     def max_control_rtt(self, nodes=None) -> int:
         """Worst round-trip control delay over ``nodes`` (default: all

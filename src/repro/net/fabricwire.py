@@ -27,7 +27,9 @@ in-memory wire.
 
 from __future__ import annotations
 
-from repro.net.fabric import Fabric, Transfer
+from heapq import heappop
+
+from repro.net.fabric import Fabric
 from repro.obs.ledger import NULL_RECORDER, FlightRecorder
 from repro.rdma.wire import Packet
 
@@ -41,16 +43,13 @@ def fabric_mid_of(packet: Packet) -> int:
     packets (``send`` / ``rts``) lead with a header that has a mid.
     Control traffic (ACK/NAK/read protocol) has no mid: returns -1.
     """
-    if packet.opcode == "rc_data":
-        try:
-            return fabric_mid_of(packet.payload[1])
-        except (TypeError, IndexError):
-            return -1
-    if packet.opcode in ("send", "rts"):
-        try:
+    try:
+        if packet.opcode == "rc_data":
+            packet = packet.payload[1]
+        if packet.opcode in ("send", "rts"):
             return int(getattr(packet.payload[0], "mid", -1))
-        except (TypeError, IndexError):
-            return -1
+    except (TypeError, IndexError):
+        pass
     return -1
 
 
@@ -76,6 +75,9 @@ class FabricWire:
     ``node_a`` / ``node_b`` are the topology hosts they live on.
     Several FabricWires share one fabric, which is the whole point:
     their flows contend on common links.
+
+    Each receive poll advances the shared fabric clock one tick: the
+    polling loop *is* simulated time.
     """
 
     def __init__(
@@ -87,23 +89,19 @@ class FabricWire:
         node_a: str,
         node_b: str,
         recorder: FlightRecorder = NULL_RECORDER,
-        tick_on_receive: bool = True,
     ) -> None:
         if a == b:
             raise ValueError(f"wire endpoints must be distinct, both named {a!r}")
         self.fabric = fabric
-        self._nodes = {a: node_a, b: node_b}
         self._ports = {a: _Port(a, fabric), b: _Port(b, fabric)}
-        self._peers = {a: self._ports[b], b: self._ports[a]}
-        fabric.attach(a)
-        fabric.attach(b)
+        #: endpoint -> its arrival heap on the fabric.
+        self._heaps = {a: fabric.attach(a), b: fabric.attach(b)}
+        #: endpoint -> (its host, the peer's host, the peer's port):
+        #: everything ``transmit`` needs of the connection.
+        self._flows = {a: (node_a, node_b, b), b: (node_b, node_a, a)}
         self.delivered = 0
         self.dropped = 0
         self._recorder = recorder
-        #: Each receive poll advances the shared fabric clock one tick
-        #: (the polling loop *is* simulated time). Drivers that step
-        #: the clock themselves turn this off.
-        self._tick_on_receive = tick_on_receive
 
     @property
     def names(self) -> tuple[str, str]:
@@ -119,81 +117,82 @@ class FabricWire:
 
     def peer_of(self, name: str) -> _Port:
         try:
-            return self._peers[name]
+            return self._ports[self._flows[name][2]]
         except KeyError:
             raise KeyError(f"unknown endpoint {name!r}") from None
 
     def transmit(self, src: str, packet: Packet) -> None:
-        """Route ``packet`` across the fabric toward ``src``'s peer."""
-        peer = self.peer_of(src)
+        """Route ``packet`` across the fabric toward ``src``'s peer.
+
+        The ledger mid is read off the packet here, once, and rides the
+        fabric beside it, so the arrival stamp needs no second look."""
+        try:
+            node, peer_node, port = self._flows[src]
+        except KeyError:
+            raise KeyError(f"unknown endpoint {src!r}") from None
+        recorder = self._recorder
+        mid = fabric_mid_of(packet) if recorder.enabled else -1
         transfer = self.fabric.inject(
-            self._nodes[src], self._nodes[peer.name], peer.name, packet, packet.size
+            node, peer_node, port, (packet, mid), packet.size
         )
         if transfer.dropped:
             self.dropped += 1
-        if self._recorder.enabled:
-            self._note_hops(packet, transfer)
+        if mid >= 0:
+            times = transfer.times
+            recorder.note(
+                mid,
+                "fabric_hops",
+                src=node,
+                dst=peer_node,
+                inject=transfer.inject,
+                arrival=transfer.arrival,
+                dropped=transfer.dropped,
+                drop_link=transfer.drop_link,
+                hops=[
+                    [link, t_in, t_out]
+                    for link, t_in, t_out in zip(transfer.route, times, times[1:])
+                ],
+            )
 
     def receive(self, dst: str) -> Packet | None:
         """Pop the next *arrived* packet at ``dst`` (None when the
         queue is empty or the head is still in transit)."""
-        if self._tick_on_receive:
-            self.fabric.tick()
-        got = self.fabric.deliver(dst)
-        if got is None:
-            return None
-        packet, transfer = got
-        self.delivered += 1
-        if self._recorder.enabled:
-            self._stamp_arrival(packet, transfer)
-        return packet
+        fabric = self.fabric
+        fabric.clock = now = fabric.clock + 1
+        heap = self._heaps[dst]
+        if heap and heap[0][0] <= now:
+            return self._take(heap)
+        return None
 
     def drain(self, dst: str) -> list[Packet]:
         """Pop everything already arrived at ``dst``."""
-        if self._tick_on_receive:
-            self.fabric.tick()
+        fabric = self.fabric
+        fabric.clock = now = fabric.clock + 1
+        heap = self._heaps[dst]
         out: list[Packet] = []
-        while (got := self.fabric.deliver(dst)) is not None:
-            packet, transfer = got
-            self.delivered += 1
-            if self._recorder.enabled:
-                self._stamp_arrival(packet, transfer)
-            out.append(packet)
+        while heap and heap[0][0] <= now:
+            out.append(self._take(heap))
         return out
 
     def in_flight(self) -> int:
         """Packets injected on this wire and not yet consumed."""
-        return sum(port.pending() for port in self._ports.values())
+        return sum(len(heap) for heap in self._heaps.values())
 
-    # -- ledger coupling -------------------------------------------------
-
-    def _note_hops(self, packet: Packet, transfer: Transfer) -> None:
-        mid = fabric_mid_of(packet)
-        if mid < 0:
-            return
-        self._recorder.note(
-            mid,
-            "fabric_hops",
-            src=transfer.src,
-            dst=transfer.dst,
-            inject=transfer.inject,
-            arrival=transfer.arrival,
-            dropped=transfer.dropped,
-            drop_link=transfer.drop_link,
-            hops=[[h.link, h.t_in, h.t_out] for h in transfer.hops],
-        )
-
-    def _stamp_arrival(self, packet: Packet, transfer: Transfer) -> None:
+    def _take(self, heap: list) -> Packet:
+        """Pop ``heap``'s arrived head and account for it."""
+        _, _, (packet, mid), transfer = heappop(heap)
+        self.fabric.delivered += 1
+        self.delivered += 1
         # Close the wire phase at the true arrival tick (the pop may
         # happen later). The phase guard makes duplicates and stale
         # retransmit copies harmless: only the first arrival of a
         # message still in its wire phase stamps.
-        mid = fabric_mid_of(packet)
         if mid >= 0 and self._recorder.phase_of(mid) == "wire":
             self._recorder.stamp_at(
                 mid,
                 "staged",
                 transfer.arrival,
                 where="fabric",
-                hops=len(transfer.hops),
+                hops=len(transfer.times) - 1,
             )
+        return packet

@@ -17,7 +17,6 @@ the path diversity instead of funnelling them all through one core.
 from __future__ import annotations
 
 import zlib
-from collections import deque
 
 from repro.net.topology import Topology
 
@@ -45,17 +44,15 @@ class RouteTable:
         if src not in self.topology:
             raise KeyError(f"unknown node {src!r}")
         tree = {src: (0, [])}
-        frontier = deque([src])
-        while frontier:
-            node = frontier.popleft()
-            dist = tree[node][0]
+        frontier = [src]
+        for node in frontier:  # grows while it is walked: BFS order
+            reach = tree[node][0] + 1
             for neighbor in self.topology.neighbors(node):
-                entry = tree.get(neighbor)
-                if entry is None:
-                    tree[neighbor] = (dist + 1, [node])
+                if neighbor not in tree:
+                    tree[neighbor] = (reach, [node])
                     frontier.append(neighbor)
-                elif entry[0] == dist + 1:
-                    entry[1].append(node)
+                elif tree[neighbor][0] == reach:
+                    tree[neighbor][1].append(node)
         self._trees[src] = tree
         return tree
 

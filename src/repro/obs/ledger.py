@@ -116,6 +116,25 @@ class MessageRecord:
     def completed(self) -> bool:
         return bool(self.transitions) and self.transitions[-1][1] == "complete"
 
+    def fold_phases(self, totals: dict[str, float]) -> None:
+        """Add this record's per-phase durations into ``totals``, in
+        one pass over the transitions (what a report summing thousands
+        of records wants; :meth:`phase_durations` is the same waterfall
+        for one record, as its own dict). The record must have opened.
+
+        Each segment goes straight into the running total, so a phase a
+        record enters twice is summed in a different order than adding
+        per-record dicts would — the same number on a tick clock, whose
+        durations are whole."""
+        tr = self.transitions
+        t0, phase, _ = tr[0]
+        for t1, entered, _ in tr[1:]:
+            if phase in totals:
+                totals[phase] += t1 - t0
+            else:
+                totals[phase] = t1 - t0
+            t0, phase = t1, entered
+
     def segments(self) -> list[tuple[float, float, str]]:
         """Phase occupancy intervals ``(t0, t1, phase)``.
 
@@ -131,8 +150,8 @@ class MessageRecord:
     def phase_durations(self) -> dict[str, float]:
         """Total time attributed to each phase (conserved waterfall)."""
         out: dict[str, float] = {}
-        for t0, t1, phase in self.segments():
-            out[phase] = out.get(phase, 0.0) + (t1 - t0)
+        if self.transitions:
+            self.fold_phases(out)
         return out
 
     # -- serialization ---------------------------------------------------
@@ -174,6 +193,11 @@ class MessageRecord:
         return rec
 
 
+def _no_clock() -> float:
+    """The clock of a recorder nobody gave one: every stamp reads 0."""
+    return 0.0
+
+
 class FlightRecorder:
     """Assigns mids, stamps transitions, exports the ledger.
 
@@ -188,7 +212,7 @@ class FlightRecorder:
     enabled = True
 
     def __init__(self) -> None:
-        self._clock: Callable[[], float] | None = None
+        self._clock: Callable[[], float] = _no_clock
         self._next_mid = 0
         self.records: dict[int, MessageRecord] = {}
         #: Run-level events (host takeover, re-offload, recovery
@@ -203,11 +227,10 @@ class FlightRecorder:
 
     def set_clock(self, clock: Callable[[], float] | None) -> None:
         """Point the recorder at the run's simulated clock."""
-        self._clock = clock
+        self._clock = clock if clock is not None else _no_clock
 
     def now(self) -> float:
-        clock = self._clock
-        return float(clock()) if clock is not None else 0.0
+        return float(self._clock())
 
     # -- message lifecycle ----------------------------------------------
 
@@ -229,7 +252,7 @@ class FlightRecorder:
         rec = MessageRecord(
             mid, source=source, tag=tag, size=size, protocol=protocol
         )
-        rec.transitions.append((self.now(), "send", None))
+        rec.transitions.append((float(self._clock()), "send", None))
         self.records[mid] = rec
         return mid
 
@@ -248,14 +271,14 @@ class FlightRecorder:
         rec = self.records.get(mid)
         if rec is None:
             return
-        ts = self.now()
         tr = rec.transitions
         if tr:
             last_ts, last_phase, _ = tr[-1]
             if last_phase == phase or last_phase == "complete":
                 return
-            if ts < last_ts:
-                ts = last_ts
+        ts = float(self._clock())  # read once, and only for a stamp that lands
+        if tr and ts < last_ts:
+            ts = last_ts
         tr.append((ts, phase, detail or None))
 
     def stamp_at(self, mid: int, phase: str, ts: float, **detail: Any) -> None:
@@ -297,7 +320,7 @@ class FlightRecorder:
         rec = self.records.get(mid)
         if rec is None:
             return
-        rec.events.append((self.now(), name, detail or None))
+        rec.events.append((float(self._clock()), name, detail or None))
 
     def mark(self, mid: int) -> int:
         """Transition high-water mark, for speculative block attempts."""
@@ -335,7 +358,7 @@ class FlightRecorder:
             "handle": handle,
             "source": source,
             "tag": tag,
-            "posted": self.now(),
+            "posted": float(self._clock()),
             "completed": None,
             "mid": -1,
         }
@@ -347,7 +370,7 @@ class FlightRecorder:
         if not stack:
             return
         row = self.receives[stack.pop(0)]
-        row["completed"] = self.now()
+        row["completed"] = float(self._clock())
         row["mid"] = mid
 
     # -- run-level events ------------------------------------------------

@@ -53,10 +53,12 @@ class CompletionQueue:
 
     def poll_batch(self, limit: int) -> list[Completion]:
         """Pop up to ``limit`` completions in order."""
-        out = []
-        while self._entries and len(out) < limit:
-            out.append(self._entries.popleft())
-        return out
+        entries = self._entries
+        if len(entries) <= limit:
+            out = list(entries)
+            entries.clear()
+            return out
+        return [entries.popleft() for _ in range(limit)]
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -39,6 +39,9 @@ __all__ = [
 #: Eager/rendezvous switchover (bytes); typical RDMA MPI default.
 DEFAULT_EAGER_THRESHOLD = 1024
 
+#: What the staged store answers for a token it does not hold.
+_NOT_STAGED = (None, None)
+
 
 @dataclass(frozen=True, slots=True)
 class MessageHeader:
@@ -108,48 +111,30 @@ class RdmaSender:
             if hashes is None:
                 ih = compute_inline_hashes(self.rank, tag)
                 hashes = self._tag_hashes[tag] = (ih.src_tag, ih.tag_only, ih.src_only)
-        eager = len(payload) <= self.eager_threshold
-        eager_eligible = eager
-        if eager and self.demote_probe is not None and self.demote_probe(len(payload)):
+        size = len(payload)
+        eager = eager_eligible = size <= self.eager_threshold
+        if eager and self.demote_probe is not None and self.demote_probe(size):
             eager = False
             self.demotions += 1
+        protocol = "eager" if eager else "rndv"
         mid = -1
         if self.recorder.enabled:
             mid = self.recorder.open(
-                source=self.rank,
-                tag=tag,
-                size=len(payload),
-                protocol="eager" if eager else "rndv",
+                source=self.rank, tag=tag, size=size, protocol=protocol
             )
             if eager_eligible and not eager:
-                self.recorder.note(mid, "demoted", size=len(payload))
+                self.recorder.note(mid, "demoted", size=size)
+        # An eager message travels with its payload; a rendezvous one
+        # registers it and sends the rkey in a header-only RTS ("might
+        # include some message data", §IV-B; header-only here, for
+        # clarity).
+        rkey = 0 if eager else self.qp.memory.register(payload).rkey
+        header = MessageHeader(
+            self.rank, tag, comm, size, seq, protocol, rkey, hashes, mid
+        )
         if eager:
-            header = MessageHeader(
-                source=self.rank,
-                tag=tag,
-                comm=comm,
-                size=len(payload),
-                send_seq=seq,
-                protocol="eager",
-                inline_hashes=hashes,
-                mid=mid,
-            )
             self.qp.post_send("send", header, payload)
         else:
-            region = self.qp.memory.register(payload)
-            header = MessageHeader(
-                source=self.rank,
-                tag=tag,
-                comm=comm,
-                size=len(payload),
-                send_seq=seq,
-                protocol="rndv",
-                rkey=region.rkey,
-                inline_hashes=hashes,
-                mid=mid,
-            )
-            # An RTS "might include some message data" (§IV-B); this
-            # model keeps it header-only for clarity.
             self.qp.post_send("rts", header)
         return header
 
@@ -177,18 +162,20 @@ class RdmaReceiver:
         self.matcher = matcher
         self.recorder = recorder
         self.completed: list[Delivery] = []
-        #: bounce-token -> (staged message, header) awaiting protocol.
-        self._staged: dict[int, StagedMessage] = {}
-        #: bounce-token -> queue pair the message was staged by.
-        self._staged_qp: dict[int, QueuePair] = {}
+        #: bounce-token -> (staged message awaiting protocol, the
+        #: queue pair it was staged by).
+        self._staged: dict[int, tuple[StagedMessage, QueuePair]] = {}
         self._next_token = 0
         #: outstanding rendezvous reads: token -> match event.
         self._pending_reads: dict[int, MatchEvent] = {}
         #: Deliveries completed from host-spilled staging (degraded).
         self.host_staged_deliveries = 0
-        #: Per-qp last observed wire-counter values (delta mirroring),
-        #: parallel to ``qps``.
-        self._wire_seen: list[dict[str, int]] = []
+        #: Per-qp last observed wire counters ``[retransmits,
+        #: rnr_naks]`` (delta mirroring), parallel to ``qps``.
+        self._wire_seen: list[list[int]] = []
+        #: Header hash words -> the engine's view of them: a sender
+        #: ships the same three words with every message of a tag.
+        self._inline: dict[tuple[int, int, int], InlineHashes] = {}
         if qp is not None:
             self.add_qp(qp)
 
@@ -200,7 +187,7 @@ class RdmaReceiver:
     def add_qp(self, qp: QueuePair) -> QueuePair:
         """Attach another queue pair feeding this receiver's matcher."""
         self.qps.append(qp)
-        self._wire_seen.append({"retransmits": 0, "rnr_naks": 0})
+        self._wire_seen.append([0, 0])
         return qp
 
     def post_receive(self, request: ReceiveRequest) -> None:
@@ -221,31 +208,36 @@ class RdmaReceiver:
         completions = [
             (qp, cqe) for qp in self.qps for cqe in qp.poll(limit=1_000_000)
         ]
-        n = 0
+        recorder = self.recorder
         for qp, cqe in completions:
-            n += 1
             if cqe.opcode in ("send", "rts"):
                 staged: StagedMessage = cqe.payload
                 header: MessageHeader = staged.header
                 token = self._next_token
                 self._next_token += 1
-                self._staged[token] = staged
-                self._staged_qp[token] = qp
+                self._staged[token] = (staged, qp)
+                words = header.inline_hashes
                 inline = None
-                if header.inline_hashes is not None:
-                    inline = InlineHashes(*header.inline_hashes)
-                mid = getattr(header, "mid", -1)
-                if self.recorder.enabled:
-                    self.recorder.stamp(mid, "engine")
+                if words is not None:
+                    inline = self._inline.get(words)
+                    if inline is None:
+                        inline = self._inline[words] = InlineHashes(*words)
+                mid = header.mid
+                if recorder.enabled:
+                    recorder.stamp(mid, "engine")
+                # The token doubles as arrival id: an engine fed by this
+                # receiver alone stamps the same number and keeps the
+                # envelope as it is.
                 self.matcher.submit_message(
                     MessageEnvelope(
-                        source=header.source,
-                        tag=header.tag,
-                        comm=header.comm,
-                        size=header.size,
-                        send_seq=token,  # token doubles as arrival id
-                        inline_hashes=inline,
-                        mid=mid,
+                        header.source,
+                        header.tag,
+                        header.comm,
+                        token,
+                        header.size,
+                        token,
+                        inline,
+                        mid,
                     )
                 )
             elif cqe.opcode == "read_response":
@@ -275,7 +267,7 @@ class RdmaReceiver:
                 self._complete(event, unexpected=True)
             # STORED_UNEXPECTED: stays staged until a receive drains it.
         self._mirror_transport_stats()
-        return n
+        return len(completions)
 
     def spill_staged(self, token: int) -> bool:
         """Move a staged eager payload out of NIC bounce memory into
@@ -285,11 +277,11 @@ class RdmaReceiver:
         for its payload. Returns False, touching nothing, when ``token``
         holds no bounce buffer: rendezvous (header-only), already
         host-staged, or unknown."""
-        staged = self._staged.get(token)
+        staged, qp = self._staged.get(token, _NOT_STAGED)
         if staged is None or staged.bounce is None:
             return False
         staged.host_data = staged.bounce.read()
-        self._staged_qp[token].bounce_pool.release(staged.bounce)
+        qp.bounce_pool.release(staged.bounce)
         staged.bounce = None
         return True
 
@@ -304,27 +296,31 @@ class RdmaReceiver:
         over spill/recovery), and across wire replacement (a fresh wire
         restarts its counters at zero; the delta tracker treats the new
         value as pure growth rather than clobbering history)."""
-        stats = getattr(self.matcher, "stats", None)
-        if stats is None:
-            return
         for qp, seen in zip(self.qps, self._wire_seen):
-            wire_stats = getattr(qp.wire, "stats", None)
-            if wire_stats is None:
+            try:
+                wire_stats = qp.wire.stats
+                current = [wire_stats.retransmits, wire_stats.rnr_naks]
+            except AttributeError:
+                continue  # no stats, or ones without RC counters (FaultStats)
+            if current == seen:
                 continue
-            for name, last in seen.items():
-                current = getattr(wire_stats, name, 0)
+            stats = getattr(self.matcher, "stats", None)
+            if stats is None:
+                return
+            for name, now, last in zip(("retransmits", "rnr_naks"), current, seen):
                 # A counter below its last-seen value means the wire
                 # (and its stats) was replaced: the whole value is new
                 # growth.
-                delta = current if current < last else current - last
+                delta = now if now < last else now - last
                 if delta:
                     setattr(stats, name, getattr(stats, name, 0) + delta)
-                seen[name] = current
+            seen[:] = current
 
     def _complete(self, event: MatchEvent, *, unexpected: bool) -> None:
         token = event.message.send_seq
-        staged = self._staged.pop(token, None)
-        qp = self._staged_qp.pop(token, None) or self.qp
+        staged, qp = self._staged.pop(token, _NOT_STAGED)
+        if qp is None:
+            qp = self.qp
         header: MessageHeader | None = staged.header if staged is not None else None
         if self.recorder.enabled:
             # Engines stamp "matched" with the resolution path; this

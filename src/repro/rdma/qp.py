@@ -129,7 +129,7 @@ class QueuePair:
             _, payload = packet.payload
             if payload and not self.host_spill and self.bounce_pool.available <= backlog:
                 return False
-            meter = getattr(self.bounce_pool, "pressure", None)
+            meter = self.bounce_pool.pressure
             if meter is not None:
                 # Budget-aware backpressure: admitting this message may
                 # cost one bounce buffer (payload-bearing) plus one

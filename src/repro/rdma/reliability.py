@@ -43,7 +43,7 @@ from typing import Callable
 
 from repro.obs.ledger import NULL_RECORDER, FlightRecorder
 from repro.obs.trace import NULL_TRACER, SpanTracer
-from repro.rdma.wire import Endpoint, Packet, Wire, packet_checksum
+from repro.rdma.wire import Endpoint, Packet, Wire, control_frame, packet_checksum
 
 __all__ = [
     "ReliabilityConfig",
@@ -131,7 +131,7 @@ class _TxState:
 class _RxState:
     """Receiver-side sequencing state for one direction."""
 
-    __slots__ = ("expected", "deliverable", "nak_pending_for")
+    __slots__ = ("expected", "deliverable", "nak_pending_for", "probe")
 
     def __init__(self) -> None:
         self.expected = 0
@@ -139,6 +139,8 @@ class _RxState:
         #: PSN the last NAK asked for, to damp NAK storms on bursts of
         #: out-of-order arrivals.
         self.nak_pending_for = -1
+        #: Receiver-ready probe of this endpoint (None: always ready).
+        self.probe: RnrProbe | None = None
 
 
 class ReliableWire:
@@ -165,7 +167,6 @@ class ReliableWire:
             name: _TxState(self.config.retry_timeout) for name in raw.names
         }
         self._rx: dict[str, _RxState] = {name: _RxState() for name in raw.names}
-        self._probes: dict[str, RnrProbe] = {}
         #: Simulated time: one tick per progress poll (every ``receive``
         #: call), the same clock the retransmission timers count in.
         self.clock = 0
@@ -226,7 +227,7 @@ class ReliableWire:
         """Install the receiver-ready probe for endpoint ``name``."""
         if name not in self._rx:
             raise KeyError(f"unknown endpoint {name!r}")
-        self._probes[name] = probe
+        self._rx[name].probe = probe
 
     def transmit(self, src: str, packet: Packet) -> None:
         """Frame an application packet with a PSN and send it."""
@@ -251,11 +252,16 @@ class ReliableWire:
     def receive(self, dst: str) -> Packet | None:
         """One progress poll at ``dst``: advance timers, process every
         raw inbound frame, then hand up the next in-order packet."""
-        if self._tx[dst].failed:
+        tx = self._tx[dst]
+        if tx.failed:
             raise TransportError(f"channel from {dst!r} already failed")
         self.clock += 1
-        self._advance_timer(dst)
-        while (frame := self.raw.receive(dst)) is not None:
+        if tx.unacked:
+            self._advance_timer(dst, tx)
+        else:
+            tx.timer = 0
+        raw_receive = self.raw.receive
+        while (frame := raw_receive(dst)) is not None:
             self._process_frame(dst, frame)
         rx = self._rx[dst]
         return rx.deliverable.popleft() if rx.deliverable else None
@@ -276,9 +282,6 @@ class ReliableWire:
         return total
 
     # -- protocol internals ---------------------------------------------
-
-    def _control(self, src: str, opcode: str, psn: int) -> None:
-        self.raw.transmit(src, Packet(opcode, psn, 0, packet_checksum(opcode, psn)))
 
     def _process_frame(self, dst: str, frame: Packet) -> None:
         if frame.checksum is None or frame.checksum != packet_checksum(
@@ -325,14 +328,14 @@ class ReliableWire:
             if rx.nak_pending_for != rx.expected:
                 rx.nak_pending_for = rx.expected
                 self.stats.naks_sent += 1
-                self._control(dst, "rc_nak", rx.expected)
+                self.raw.transmit(dst, control_frame("rc_nak", rx.expected))
             return
-        probe = self._probes.get(dst)
+        probe = rx.probe
         if probe is not None and not probe(inner, len(rx.deliverable)):
             # Receiver not ready: hold the sender off without losing
             # FIFO order — the PSN is not consumed.
             self.stats.rnr_naks += 1
-            self._control(dst, "rc_rnr", rx.expected)
+            self.raw.transmit(dst, control_frame("rc_rnr", rx.expected))
             return
         rx.deliverable.append(inner)
         rx.expected += 1
@@ -342,7 +345,7 @@ class ReliableWire:
 
     def _ack(self, dst: str, psn: int) -> None:
         self.stats.acks_sent += 1
-        self._control(dst, "rc_ack", psn)
+        self.raw.transmit(dst, control_frame("rc_ack", psn))
 
     def _process_ack(self, src: str, psn: int) -> None:
         """Cumulative ACK: everything up to ``psn`` arrived at the peer."""
@@ -357,14 +360,13 @@ class ReliableWire:
             tx.timeout = self.config.retry_timeout
             tx.timer = 0
             tx.rnr_wait = 0
-            self._span_end("retransmit", src)
-            self._span_end("rnr_stall", src)
+            if self._open_spans:
+                self._span_end("retransmit", src)
+                self._span_end("rnr_stall", src)
 
-    def _advance_timer(self, src: str) -> None:
-        tx = self._tx[src]
-        if not tx.unacked:
-            tx.timer = 0
-            return
+    def _advance_timer(self, src: str, tx: _TxState) -> None:
+        """One tick of ``src``'s retransmission timer; its window is
+        not empty."""
         if tx.rnr_wait > 0:
             tx.rnr_wait -= 1
             if tx.rnr_wait == 0:

@@ -258,19 +258,25 @@ class TestMaskedPollRule:
         outcome, log = _run(SteppedExecutor(RandomPolicy(seed)), masked)
         if outcome[0] != "ok":
             return
-        sends = [entry for entry in log if entry[0] == "send"]
+        # One scheduler step per resume: a ("send", tid, pc) runs op pc, a
+        # ("done", tid) is the resume that finds the program finished
+        # (a step like any other to the threads still waiting).
+        resumes = [entry for entry in log if entry[0] in ("send", "done")]
         # values[k]: the words after scheduler step k (step 0: all clear).
         values = [[0] * WORDS]
-        for _, tid, pc in sends:
+        for entry in resumes:
             now = list(values[-1])
-            op = masked[tid][pc]
+            op = masked[entry[1]][entry[2]] if entry[0] == "send" else ("step",)
             if op[0] == "bit_set":
                 now[op[1]] |= 1 << op[2]
             elif op[0] == "bit_clear":
                 now[op[1]] &= ~(1 << op[2])
             values.append(now)
         expected = [0] * len(masked)
-        for block_step, (_, tid, pc) in enumerate(sends, start=1):
+        for block_step, entry in enumerate(resumes, start=1):
+            if entry[0] == "done":
+                continue
+            _, tid, pc = entry
             op = masked[tid][pc]
             if op[0] == "wait_below":
                 mask = (1 << op[2]) - 1

@@ -61,6 +61,34 @@ class TestEndToEnd:
         assert cons["exact"] == cons["checked"]
         assert cons["recovered"] == 0
 
+    def test_unexplained_wire_phase_fails_the_report(self):
+        """A message whose wire phase no fabric injection explains is
+        a conservation failure, and ``ok`` must say so even though
+        every message was delivered in order."""
+        sim = ClusterSim(cluster_workload("halo", 8, rounds=2), topology="torus")
+        assert_clean(sim.run())
+        # Doctor one record: move its wire stamp off the inject tick
+        # and its arrival off every injection's.
+        rec = sim.recorder.records[3]
+        rec.transitions = [
+            (ts + 0.5, phase, detail) if phase in ("wire", "staged") else (ts, phase, detail)
+            for ts, phase, detail in rec.transitions
+        ]
+        report = sim.report()
+        cons = report.results["conservation"]
+        assert cons["checked"] == cons["exact"] + cons["recovered"] + 1
+        assert not report.results["violations"]
+        assert report.results["undelivered"] == 0
+        assert not report.ok
+        # The verdict survives the fleet codec's round trip.
+        assert not ClusterReport.from_dict(report.to_dict()).ok
+
+    def test_report_without_a_ledger_is_not_a_conservation_failure(self):
+        trace = cluster_workload("halo", 8, rounds=2)
+        report = ClusterSim(trace, topology="torus", record=False).run()
+        assert report.results["conservation"] == {"checked": 0, "exact": 0, "recovered": 0}
+        assert report.ok
+
     def test_deterministic(self):
         a = run_cluster("halo", 8, topology="torus", rounds=2)
         b = run_cluster("halo", 8, topology="torus", rounds=2)

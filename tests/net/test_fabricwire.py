@@ -94,12 +94,14 @@ class TestLedgerCoupling:
         mid = recorder.open(source=0, tag=0, size=64)
         recorder.stamp(mid, "wire")
         header = type("H", (), {"mid": mid})()
-        transfer = fabric.transfers
+        transfers = []
+        inject = fabric.inject
+        fabric.inject = lambda *args: transfers.append(inject(*args)) or transfers[-1]
         wire.transmit("A", Packet("send", (header, b"z"), size=64))
         pump(wire, "B")
         rec = recorder.records[mid]
         staged = [ts for ts, phase, _ in rec.transitions if phase == "staged"]
-        assert staged == [float(transfer[0].arrival)]
+        assert staged == [float(transfers[0].arrival)]
 
 
 class TestUnderReliability:
