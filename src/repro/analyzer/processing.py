@@ -16,14 +16,16 @@ not matched — exactly the paper's scope ("Only p2p and progress
 operations are processed, ignoring collectives and one-sided").
 
 The work splits in two. :func:`prepare` does everything no bin count
-can change, once per trace: the merge, the receive requests and message
-envelopes themselves, and the call-mix / tag / wildcard / kind / pair
-statistics. The envelopes carry their §IV-D inline hashes, which exist
-precisely because ``hash(src, tag)``, ``hash(tag)`` and ``hash(src)``
-"do not depend on receiver state" — the receiver only reduces them
-modulo its bin count. :func:`analyze` is then the replay of that list
-against ``bins``-bin structures, so a sweep over bin counts prepares
-once and replays per count.
+can change, once per trace: the merge, the message envelopes and the
+postings themselves, and the call-mix / tag / wildcard / kind / pair
+statistics. That includes all the hashing (§IV-D): ``hash(src, tag)``,
+``hash(tag)`` and ``hash(src)`` "do not depend on receiver state", so an
+envelope carries its inline hashes and a posting its
+:func:`~repro.analyzer.structures.receive_key`, each resolved once per
+distinct ``(source, tag)`` — the receiver only reduces them modulo its
+bin count. :func:`analyze` is then the replay of that list against
+``bins``-bin structures, so a sweep over bin counts prepares once and
+replays per count, and a replay hashes nothing.
 """
 
 from __future__ import annotations
@@ -34,17 +36,18 @@ from functools import cache
 from operator import itemgetter
 from typing import Any
 
-from repro.core.envelope import MessageEnvelope, ReceiveRequest
+from repro.core.envelope import MessageEnvelope
 from repro.core.hashing import compute_inline_hashes
-from repro.traces.model import OpGroup, OpKind, Trace
+from repro.traces.model import OpGroup, OpKind, Trace, call_mix, counts_by_group
 from repro.analyzer.statistics import AppAnalysis, Datapoint, QueueDepthStats
-from repro.analyzer.structures import EmulatedMatcher
+from repro.analyzer.structures import STRUCTURES, EmulatedMatcher, receive_key
 
 __all__ = ["PreparedTrace", "prepare", "analyze"]
 
 #: Replay step codes: ``(code, rank, item)`` with ``item`` a ready-made
-#: ``ReceiveRequest`` posted at ``rank``, a ``MessageEnvelope`` delivered
-#: to ``rank``, or the walltime of a progress operation on ``rank``.
+#: posting ``(source, tag, comm, structure, word)`` posted at ``rank``, a
+#: ``MessageEnvelope`` delivered to ``rank``, or the walltime of a
+#: progress operation on ``rank``.
 _POST, _DELIVER, _PROGRESS = range(3)
 
 
@@ -83,29 +86,35 @@ def prepare(trace: Trace | PreparedTrace) -> PreparedTrace:
     ops.sort(key=itemgetter(0, 1, 2))
 
     steps: list[tuple[int, int, Any]] = []
-    wildcard_usage: Counter = Counter()
+    # Kinds and wildcard classes are tallied under plain ints (ordinal,
+    # structure index): hashing an enum member is a Python call per op.
+    # A dict keeps first-seen order, which is the order the counters
+    # iterate in and the one ``most_common`` breaks ties by.
+    kind_tally: defaultdict[int, int] = defaultdict(int)
+    structure_tally: defaultdict[int, int] = defaultdict(int)
     tag_usage: Counter = Counter()
-    p2p_kinds: Counter = Counter()
     pairs: set[tuple[int, int]] = set()
-    # One InlineHashes per (source, tag), shared by every envelope with that key.
+    # One InlineHashes / receive key per (source, tag), shared by every
+    # envelope / posting with that key.
     inline_hashes = cache(compute_inline_hashes)
+    key_of = cache(receive_key)
     send_seq: defaultdict[int, int] = defaultdict(int)
     # Completion-queue position of the next message at each rank.
     arrivals: defaultdict[int, int] = defaultdict(int)
 
     for walltime, rank, _position, op in ops:
         kind = op.kind
+        kind_tally[kind.ordinal] += 1
         group = kind.group
         if group is OpGroup.P2P:
-            p2p_kinds[kind] += 1
             peer, tag = op.peer, op.tag
             if tag >= 0:
                 tag_usage[tag] += 1
             if kind is OpKind.IRECV or kind is OpKind.RECV:
-                request = ReceiveRequest(source=peer, tag=tag, comm=op.comm, size=op.size)
-                wildcard_usage[request.wildcard_class()] += 1
+                structure, word = key_of(peer, tag)
+                structure_tally[structure] += 1
                 pairs.add((peer, tag))
-                steps.append((_POST, rank, request))
+                steps.append((_POST, rank, (peer, tag, op.comm, structure, word)))
             else:  # ISEND / SEND from `rank` to `peer`
                 seq = send_seq[rank]
                 send_seq[rank] = seq + 1
@@ -125,15 +134,24 @@ def prepare(trace: Trace | PreparedTrace) -> PreparedTrace:
             steps.append((_PROGRESS, rank, walltime))
         # collectives / one-sided: counted via call_mix only
 
+    kinds = tuple(OpKind)
     return PreparedTrace(
         name=trace.name,
         nprocs=trace.nprocs,
         total_ops=len(ops),
         steps=steps,
-        call_mix=trace.call_mix(),
-        wildcard_usage=wildcard_usage,
+        call_mix=call_mix(counts_by_group(kind_tally)),
+        wildcard_usage=Counter(
+            {STRUCTURES[structure]: count for structure, count in structure_tally.items()}
+        ),
         tag_usage=tag_usage,
-        p2p_kinds=p2p_kinds,
+        p2p_kinds=Counter(
+            {
+                kinds[ordinal]: count
+                for ordinal, count in kind_tally.items()
+                if kinds[ordinal].group is OpGroup.P2P
+            }
+        ),
         unique_pairs=len(pairs),
     )
 
@@ -154,7 +172,7 @@ def analyze(
 
     for code, rank, item in prepared.steps:
         if code == _POST:
-            matchers[rank].post_receive(item)
+            matchers[rank].post(item)
         elif code == _DELIVER:
             matchers[rank].deliver(item)
         else:

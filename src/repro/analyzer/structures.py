@@ -1,36 +1,62 @@
 """Emulated matching structures for trace analysis.
 
 The analyzer "emulat[es] the optimistic tag matching strategy and
-gather[s] statistics" (§V): it maintains, per rank, exactly the data
-structures of §III-B — the three binned hash tables and the
-double-wildcard list for posted receives, mirrored for unexpected
-messages — and matches serially (conflict behaviour is irrelevant to
-queue-depth statistics; structure occupancy is what Fig. 7 measures).
+gather[s] statistics" (§V): it maintains, per rank, the *layout* of
+§III-B — three binned hash tables and the double-wildcard list for
+posted receives, mirrored for unexpected messages — and matches
+serially (conflict behaviour is irrelevant to queue-depth statistics;
+structure occupancy is what Fig. 7 measures).
 
-Performance note: occupancy statistics are maintained *incrementally*
-(a depth histogram updated on every bucket transition) rather than by
-scanning all ``3 x bins`` buckets per operation — profiling showed the
-scan dominating analysis time at high bin counts, and per-op work is
-O(1) with the histogram.
+Same layout, flat containers. The engine's own indexes
+(:mod:`repro.core.indexes`) exist to be shared by a block of optimistic
+threads: every receive is a table-resident descriptor with a booking
+bitmap and a sequence label, chains are intrusive lists that tolerate
+lazy removal, and a search returns its targets for someone else to
+walk. A serial matcher that only reports depths needs none of that, so
+a chain here is a plain list — ``(post_label, source, tag)`` per posted
+receive in posting order, the envelope itself per unexpected message in
+arrival order — a table is a ``defaultdict`` from bucket to chain (a
+chain exists once its bucket has been addressed, the engine's
+first-touch rule), and both walks are written out in the two methods
+that run per trace operation. ``tests/analyzer/reference_matcher.py``
+keeps the engine-backed matcher this replaced and
+``test_matcher_differential.py`` holds this one to it op by op.
+
+Nothing here hashes unless it has to (§IV-D): a message brings its
+``inline_hashes``, a posting brings its :func:`receive_key`, and the
+matcher only reduces the words modulo its bin count.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.core.constants import WildcardClass
-from repro.core.descriptor import DescriptorTable, ReceiveDescriptor
+from repro.core.constants import ANY_SOURCE, ANY_TAG, WildcardClass, classify
+from repro.core.descriptor import DescriptorTableFull
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
-from repro.core.hashing import receive_hash
-from repro.core.indexes import (
-    ReceiveIndexes,
-    SearchProbeCount,
-    UnexpectedIndexes,
-    UnexpectedMessage,
-)
-from repro.util.counters import MonotonicCounter, SequenceLabeler
+from repro.core.hashing import compute_inline_hashes, receive_hash
 
-__all__ = ["EmulatedMatcher", "DepthSnapshot"]
+__all__ = ["EmulatedMatcher", "DepthSnapshot", "STRUCTURES", "receive_key"]
+
+#: The four structures in search order; a receive's *structure index*
+#: is its wildcard class's position here. The first three are tables.
+STRUCTURES = (WildcardClass.NONE, WildcardClass.SOURCE, WildcardClass.TAG, WildcardClass.BOTH)
+_LIST = STRUCTURES.index(WildcardClass.BOTH)
+
+#: A receive as the matcher takes it:
+#: ``(source, tag, comm, structure index, hash word)``.
+Posting = tuple[int, int, int, int, int]
+
+
+def receive_key(source: int, tag: int) -> tuple[int, int]:
+    """``(structure index, hash word)`` of a receive's ``(source, tag)``.
+
+    Like a message's inline hashes it depends on no receiver state, so
+    whoever posts the same key often resolves it once.
+    """
+    wildcard_class = classify(source, tag)
+    return STRUCTURES.index(wildcard_class), receive_hash(wildcard_class, source, tag)
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,61 +76,42 @@ class DepthSnapshot:
     wildcard_list_depth: int
 
 
-class _OccupancyTracker:
-    """Incremental depth histogram over the three PRQ hash tables."""
-
-    __slots__ = ("_hist", "_max", "empty", "total_buckets")
-
-    def __init__(self, total_buckets: int) -> None:
-        self._hist: dict[int, int] = {}
-        self._max = 0
-        self.empty = total_buckets
-        self.total_buckets = total_buckets
-
-    def transition(self, old_depth: int, new_depth: int) -> None:
-        if old_depth == new_depth:
-            return
-        if old_depth > 0:
-            count = self._hist[old_depth] - 1
-            if count:
-                self._hist[old_depth] = count
-            else:
-                del self._hist[old_depth]
-        else:
-            self.empty -= 1
-        if new_depth > 0:
-            self._hist[new_depth] = self._hist.get(new_depth, 0) + 1
-        else:
-            self.empty += 1
-        if new_depth > self._max:
-            self._max = new_depth
-        elif old_depth == self._max and old_depth not in self._hist:
-            self._max = max(self._hist, default=0)
-
-    @property
-    def max_depth(self) -> int:
-        return self._max
-
-    @property
-    def empty_fraction(self) -> float:
-        return self.empty / self.total_buckets if self.total_buckets else 1.0
-
-
 class EmulatedMatcher:
     """Serial matcher over the paper's four-index layout."""
 
     def __init__(self, bins: int, capacity: int = 1 << 14) -> None:
+        if bins <= 0:
+            raise ValueError(f"bin count must be positive, got {bins}")
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
         self.bins = bins
-        self.indexes = ReceiveIndexes(bins)
-        self.unexpected = UnexpectedIndexes(bins)
-        self._table = DescriptorTable(capacity, 1)
-        self._labels = MonotonicCounter()
-        self._sequencer = SequenceLabeler()
-        self._occupancy = _OccupancyTracker(3 * bins)
+        self._capacity = capacity
+        self._total_buckets = 3 * bins  # posted side; the list is not a bucket
+        # Posted receives: the three tables by structure index, and the
+        # double-wildcard list.
+        self._posted: tuple[defaultdict[int, list[tuple[int, int, int]]], ...] = (
+            defaultdict(list),
+            defaultdict(list),
+            defaultdict(list),
+        )
+        self._posted_any: list[tuple[int, int, int]] = []
+        # Unexpected messages: every one is in all four (§IV-C).
+        self._unexpected: tuple[defaultdict[int, list[MessageEnvelope]], ...] = (
+            defaultdict(list),
+            defaultdict(list),
+            defaultdict(list),
+        )
+        self._unexpected_any: list[MessageEnvelope] = []
+        #: ``_buckets_at[d]``: how many of the ``3 x bins`` posted-side
+        #: buckets hold ``d`` receives, so ``_buckets_at[0]`` is the
+        #: empty-bin count. Grows to the deepest chain ever seen.
+        self._buckets_at = [self._total_buckets]
+        self._deepest = 0
         self._posted_live = 0
         #: receives whose bucket was non-empty at insertion (hash
         #: collisions in the §V-A statistics sense).
         self.collisions = 0
+        #: Also the post label: the next posting's is one more.
         self.posts = 0
         self.messages = 0
         self.unexpected_total = 0
@@ -120,57 +127,90 @@ class EmulatedMatcher:
         self._interval_max = 0
         self._interval_sum = 0
         self._interval_samples = 0
-        self._interval_min_empty = 1.0
+        #: Fewest empty buckets seen in the interval (its fullest moment).
+        self._interval_min_empty = self._total_buckets
 
     def post_receive(self, request: ReceiveRequest) -> bool:
         """Post a receive; returns True when it drained an unexpected
         message (and was therefore never indexed)."""
-        self.posts += 1
-        # One hash per posting: the word addresses the receive's bucket
-        # in the unexpected store and in its own index alike.
-        wc = request.wildcard_class()
-        word = receive_hash(wc, request.source, request.tag)
-        probes = SearchProbeCount()
-        stored = self.unexpected.search_chain(
-            self.unexpected.chain_for(wc, word), request, probes
-        )
-        if stored is not None:
-            self.unexpected.remove(stored)
-            self.drained_total += 1
-            self._labels.next()
-            # Walk cost of the drain, excluding the matched entry.
-            self._observe_walk(max(probes.walked - 1, 0))
-            return True
-        self._observe_walk(probes.walked)
-        descr = self._table.allocate(
-            request,
-            post_label=self._labels.next(),
-            sequence_id=self._sequencer.label(request.source, request.tag),
-        )
-        chain = self.indexes.chain_for(wc, word)
-        before = len(chain)
-        self.indexes.insert_at(chain, descr)
-        self._posted_live += 1
-        # Collision statistic: the target bucket already held entries.
-        if before > 0:
-            self.collisions += 1
-        if wc is not WildcardClass.BOTH:
-            self._occupancy.transition(before, before + 1)
-        self._observe_occupancy()
-        return False
+        source, tag = request.source, request.tag
+        return self.post((source, tag, request.comm, *receive_key(source, tag)))
 
-    def _observe_walk(self, walked: int) -> None:
-        """Record one operation's experienced search depth."""
+    def post(self, posting: Posting) -> bool:
+        """:meth:`post_receive` of a receive whose key is resolved."""
+        source, tag, comm, structure, word = posting
+        self.posts += 1
+        # The receive searches the one unexpected structure its class
+        # selects, under the full envelope rule (comm included).
+        if structure == _LIST:
+            stored = self._unexpected_any
+        else:
+            stored = self._unexpected[structure][word % self.bins]
+        walked = 0  # entries passed over; the drained one is not among them
+        drained = None
+        for envelope in stored:
+            if (
+                envelope.comm == comm
+                and (source == ANY_SOURCE or envelope.source == source)
+                and (tag == ANY_TAG or envelope.tag == tag)
+            ):
+                drained = envelope
+                break
+            walked += 1
         if walked > self._interval_max:
             self._interval_max = walked
         self._interval_sum += walked
         self._interval_samples += 1
+        if drained is not None:
+            self._forget(drained)
+            self.drained_total += 1
+            return True
 
-    def _observe_occupancy(self) -> None:
-        """Track the fullest moment of the interval (empty-bin stat)."""
-        empty = self._occupancy.empty_fraction
-        if empty < self._interval_min_empty:
-            self._interval_min_empty = empty
+        if self._posted_live == self._capacity:
+            raise DescriptorTableFull(
+                f"descriptor table exhausted at capacity {self._capacity}; "
+                "fall back to software tag matching"
+            )
+        self._posted_live += 1
+        buckets_at = self._buckets_at
+        if structure == _LIST:
+            chain = self._posted_any
+            if chain:
+                self.collisions += 1
+        else:
+            chain = self._posted[structure][word % self.bins]
+            before = len(chain)
+            if before:
+                self.collisions += 1
+            buckets_at[before] -= 1
+            try:
+                buckets_at[before + 1] += 1
+            except IndexError:  # deeper than any chain so far
+                buckets_at.append(1)
+            if before == self._deepest:
+                self._deepest = before + 1
+        chain.append((self.posts, source, tag))
+        if buckets_at[0] < self._interval_min_empty:
+            self._interval_min_empty = buckets_at[0]
+        return False
+
+    def _forget(self, envelope: MessageEnvelope) -> None:
+        """Remove a drained message from all four unexpected structures."""
+        hashes = envelope.inline_hashes
+        if hashes is None:
+            hashes = compute_inline_hashes(envelope.source, envelope.tag)
+        bins = self.bins
+        by_key, by_tag, by_source = self._unexpected
+        for chain in (
+            by_key[hashes.src_tag % bins],
+            by_tag[hashes.tag_only % bins],
+            by_source[hashes.src_only % bins],
+            self._unexpected_any,
+        ):
+            for at, stored in enumerate(chain):
+                if stored is envelope:
+                    del chain[at]
+                    break
 
     def deliver(self, msg: MessageEnvelope) -> bool:
         """Deliver a message; returns True when it matched a receive.
@@ -179,41 +219,97 @@ class EmulatedMatcher:
         caller's to stamp and is never read.
         """
         self.messages += 1
-        self._observe_occupancy()
-        best: ReceiveDescriptor | None = None
-        visited = 0
-        for _wc, chain, predicate in self.indexes.candidate_chains(msg):
-            for node in chain.iter_nodes():
-                visited += 1
-                descr = node.payload
-                if predicate(descr.request, msg):
-                    if best is None or descr.post_label < best.post_label:
-                        best = descr
-                    break
+        buckets_at = self._buckets_at
+        if buckets_at[0] < self._interval_min_empty:
+            self._interval_min_empty = buckets_at[0]
+        source, tag = msg.source, msg.tag
+        hashes = msg.inline_hashes
+        if hashes is None:
+            hashes = compute_inline_hashes(source, tag)
+        bins = self.bins
+        by_key, by_tag, by_source = self._posted
+        # Every structure is probed with its own key (Fig. 3); a bucket
+        # can hold colliding keys, so each walk applies its residual
+        # predicate and stops at its first — oldest — real match. The
+        # oldest across the four wins (C1). ``visited`` counts every
+        # entry inspected, matches included.
+        best = best_chain = None
+        best_at = visited = 0
+
+        chain = by_key[hashes.src_tag % bins]
+        at = 0
+        for entry in chain:
+            at += 1
+            if entry[1] == source and entry[2] == tag:
+                best, best_chain, best_at = entry, chain, at
+                break
+        visited += at
+
+        chain = by_tag[hashes.tag_only % bins]
+        at = 0
+        for entry in chain:
+            at += 1
+            if entry[2] == tag:
+                if best is None or entry[0] < best[0]:
+                    best, best_chain, best_at = entry, chain, at
+                break
+        visited += at
+
+        chain = by_source[hashes.src_only % bins]
+        at = 0
+        for entry in chain:
+            at += 1
+            if entry[1] == source:
+                if best is None or entry[0] < best[0]:
+                    best, best_chain, best_at = entry, chain, at
+                break
+        visited += at
+
+        any_chain = self._posted_any
+        if any_chain:
+            visited += 1
+            entry = any_chain[0]
+            if best is None or entry[0] < best[0]:
+                best, best_chain, best_at = entry, any_chain, 1
+
         # The experienced queue depth: entries inspected that were not
         # the match itself.
-        self._observe_walk(visited - 1 if best is not None else visited)
-        if best is not None:
-            chain = best.node.owner
-            before = len(chain)
-            self.indexes.consume(best, lazy=False)
-            self._posted_live -= 1
-            if best.wildcard_class is not WildcardClass.BOTH:
-                self._occupancy.transition(before, before - 1)
-            self._table.release(best)
-            return True
-        self.unexpected.insert(UnexpectedMessage(envelope=msg))
-        self.unexpected_total += 1
-        return False
+        walked = visited if best is None else visited - 1
+        if walked > self._interval_max:
+            self._interval_max = walked
+        self._interval_sum += walked
+        self._interval_samples += 1
+
+        if best is None:
+            unexpected = self._unexpected
+            unexpected[0][hashes.src_tag % bins].append(msg)
+            unexpected[1][hashes.tag_only % bins].append(msg)
+            unexpected[2][hashes.src_only % bins].append(msg)
+            self._unexpected_any.append(msg)
+            self.unexpected_total += 1
+            return False
+        if best_chain is not any_chain:
+            before = len(best_chain)
+            buckets_at[before] -= 1
+            buckets_at[before - 1] += 1
+            if before == self._deepest and not buckets_at[before]:
+                # It was the only deepest bucket and is now one shallower.
+                self._deepest = before - 1
+        del best_chain[best_at - 1]
+        self._posted_live -= 1
+        return True
 
     def snapshot(self) -> DepthSnapshot:
         """Current structure occupancy (instantaneous, O(1))."""
-        wildcard_depth = len(self.indexes.both_wildcard)
+        return self._snapshot(self._buckets_at[0])
+
+    def _snapshot(self, empty: int) -> DepthSnapshot:
+        wildcard_depth = len(self._posted_any)
         return DepthSnapshot(
-            max_depth=max(self._occupancy.max_depth, wildcard_depth),
+            max_depth=max(self._deepest, wildcard_depth),
             total_posted=self._posted_live,
-            unexpected=len(self.unexpected),
-            empty_fraction=self._occupancy.empty_fraction,
+            unexpected=len(self._unexpected_any),
+            empty_fraction=empty / self._total_buckets,
             wildcard_list_depth=wildcard_depth,
         )
 
@@ -221,24 +317,17 @@ class EmulatedMatcher:
         """Flush the interval statistics at a progress operation.
 
         Returns ``(interval_max_depth, interval_mean_depth, snapshot)``
-        and resets the interval accumulators.
+        and resets the interval accumulators. The snapshot reports the
+        fullest moment of the interval, not the (usually drained)
+        instant of the progress call.
         """
         interval_max = self._interval_max
         interval_mean = (
             self._interval_sum / self._interval_samples if self._interval_samples else 0.0
         )
-        snap = self.snapshot()
-        snap = DepthSnapshot(
-            max_depth=snap.max_depth,
-            total_posted=snap.total_posted,
-            unexpected=snap.unexpected,
-            # Report the fullest moment of the interval, not the
-            # (usually drained) instant of the progress call.
-            empty_fraction=self._interval_min_empty,
-            wildcard_list_depth=snap.wildcard_list_depth,
-        )
+        snap = self._snapshot(self._interval_min_empty)
         self._interval_max = 0
         self._interval_sum = 0
         self._interval_samples = 0
-        self._interval_min_empty = 1.0
+        self._interval_min_empty = self._total_buckets
         return interval_max, interval_mean, snap

@@ -9,7 +9,6 @@ from repro.rdma.bounce import BounceBuffer, BounceBufferPool, BouncePoolExhauste
 from repro.rdma.cq import Completion, CompletionQueue, CompletionQueueOverflow
 from repro.rdma.faultwire import FaultPlan, FaultStats, FaultyWire
 from repro.rdma.flow import CreditedReceiver, CreditedSender, CreditStall
-from repro.rdma.gpudirect import CopyAccounting, GpuDirectReceiver, MemorySpace
 from repro.rdma.protocol import (
     DEFAULT_EAGER_THRESHOLD,
     Delivery,
@@ -37,12 +36,9 @@ __all__ = [
     "CreditStall",
     "CreditedReceiver",
     "CreditedSender",
-    "CopyAccounting",
     "FaultPlan",
     "FaultStats",
     "FaultyWire",
-    "GpuDirectReceiver",
-    "MemorySpace",
     "DEFAULT_EAGER_THRESHOLD",
     "Delivery",
     "Endpoint",

@@ -8,12 +8,6 @@ from repro.traces.dumpi import (
     parse_rank_text,
     write_rank_file,
 )
-from repro.traces.jsontrace import (
-    JsonTraceError,
-    load_trace_json,
-    parse_rank_jsonl,
-    save_trace_json,
-)
 from repro.traces.model import OpGroup, OpKind, RankTrace, Trace, TraceOp
 from repro.traces.reader import load_trace, rank_file_name, save_trace
 
@@ -23,18 +17,14 @@ __all__ = [
     "RankTrace",
     "Trace",
     "TraceOp",
-    "JsonTraceError",
     "TraceParseError",
     "format_rank_trace",
     "load_cached",
     "load_trace",
-    "load_trace_json",
     "parse_rank_file",
     "parse_rank_text",
     "rank_file_name",
     "save_trace",
-    "save_trace_json",
-    "parse_rank_jsonl",
     "store_cache",
     "write_rank_file",
 ]

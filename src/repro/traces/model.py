@@ -10,11 +10,13 @@ one-sided, and progress (§V-A.b).
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.constants import ANY_SOURCE, ANY_TAG
 
-__all__ = ["OpKind", "OpGroup", "TraceOp", "RankTrace", "Trace"]
+__all__ = ["OpKind", "OpGroup", "TraceOp", "RankTrace", "Trace", "counts_by_group", "call_mix"]
 
 
 class OpGroup(enum.Enum):
@@ -29,11 +31,13 @@ class OpGroup(enum.Enum):
 class OpKind(enum.Enum):
     """Concrete MPI call recorded in a trace.
 
-    ``value`` is the MPI function name; ``group`` is a plain attribute
-    of the member, so classifying an op hashes nothing.
+    ``value`` is the MPI function name; ``group`` and ``ordinal`` (the
+    member's position in ``tuple(OpKind)``) are plain attributes, so
+    classifying an op, or tallying it under its ordinal, calls nothing.
     """
 
     group: OpGroup
+    ordinal: int
 
     def __new__(cls, mpi_name: str, group: OpGroup) -> "OpKind":
         member = object.__new__(cls)
@@ -61,6 +65,11 @@ class OpKind(enum.Enum):
     PUT = "MPI_Put", OpGroup.ONE_SIDED
     GET = "MPI_Get", OpGroup.ONE_SIDED
     ACCUMULATE = "MPI_Accumulate", OpGroup.ONE_SIDED
+
+
+_KINDS = tuple(OpKind)
+for _ordinal, _kind in enumerate(_KINDS):
+    _kind.ordinal = _ordinal
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,10 +110,31 @@ class RankTrace:
         return len(self.ops)
 
     def counts_by_group(self) -> dict[OpGroup, int]:
-        counts = {group: 0 for group in OpGroup}
+        tally: defaultdict[int, int] = defaultdict(int)
         for op in self.ops:
-            counts[op.kind.group] += 1
-        return counts
+            tally[op.kind.ordinal] += 1
+        return counts_by_group(tally)
+
+
+def counts_by_group(kind_tally: Mapping[int, int]) -> dict[OpGroup, int]:
+    """Per-group totals of a tally keyed by ``OpKind.ordinal``."""
+    counts = {group: 0 for group in OpGroup}
+    for ordinal, count in kind_tally.items():
+        counts[_KINDS[ordinal].group] += count
+    return counts
+
+
+def call_mix(counts: dict[OpGroup, int]) -> dict[OpGroup, float]:
+    """Fractions of p2p/collective/one-sided among communication ops
+    (progress excluded) — the Figure 6 quantity."""
+    comm_total = counts[OpGroup.P2P] + counts[OpGroup.COLLECTIVE] + counts[OpGroup.ONE_SIDED]
+    if comm_total == 0:
+        return {OpGroup.P2P: 0.0, OpGroup.COLLECTIVE: 0.0, OpGroup.ONE_SIDED: 0.0}
+    return {
+        OpGroup.P2P: counts[OpGroup.P2P] / comm_total,
+        OpGroup.COLLECTIVE: counts[OpGroup.COLLECTIVE] / comm_total,
+        OpGroup.ONE_SIDED: counts[OpGroup.ONE_SIDED] / comm_total,
+    }
 
 
 @dataclass(slots=True)
@@ -133,16 +163,4 @@ class Trace:
         return totals
 
     def call_mix(self) -> dict[OpGroup, float]:
-        """Fractions of p2p/collective/one-sided among communication
-        ops (progress excluded) — the Figure 6 quantity."""
-        counts = self.counts_by_group()
-        comm_total = (
-            counts[OpGroup.P2P] + counts[OpGroup.COLLECTIVE] + counts[OpGroup.ONE_SIDED]
-        )
-        if comm_total == 0:
-            return {OpGroup.P2P: 0.0, OpGroup.COLLECTIVE: 0.0, OpGroup.ONE_SIDED: 0.0}
-        return {
-            OpGroup.P2P: counts[OpGroup.P2P] / comm_total,
-            OpGroup.COLLECTIVE: counts[OpGroup.COLLECTIVE] / comm_total,
-            OpGroup.ONE_SIDED: counts[OpGroup.ONE_SIDED] / comm_total,
-        }
+        return call_mix(self.counts_by_group())

@@ -9,7 +9,9 @@ bin-independent work per cell and is therefore slow, but it is the
 *definition* of an ``AppAnalysis`` — ``test_prepare_differential.py``
 holds the production ``prepare`` + replay to it on random traces.
 
-Only the name differs: ``analyze`` is ``reference_analyze`` here.
+Only the names differ: ``analyze`` is ``reference_analyze`` here, and it
+drives ``reference_matcher.ReferenceMatcher`` — the matcher as it stood
+then — so this side shares no matching code with the production replay.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from collections import Counter
 from repro.core.envelope import MessageEnvelope, ReceiveRequest
 from repro.traces.model import OpGroup, OpKind, Trace
 from repro.analyzer.statistics import AppAnalysis, Datapoint, QueueDepthStats
-from repro.analyzer.structures import EmulatedMatcher
+from tests.analyzer.reference_matcher import ReferenceMatcher
 
 __all__ = ["reference_analyze"]
 
@@ -44,7 +46,7 @@ def reference_analyze(
     """Process one trace with ``bins``-bin structures."""
     if bins <= 0:
         raise ValueError(f"bins must be positive, got {bins}")
-    matchers = [EmulatedMatcher(bins) for _ in range(trace.nprocs)]
+    matchers = [ReferenceMatcher(bins) for _ in range(trace.nprocs)]
     datapoints: list[Datapoint] = []
     wildcard_usage: Counter = Counter()
     tag_usage: Counter = Counter()

@@ -14,10 +14,11 @@ from repro.analyzer import (
     sweep_trace,
     table2_rows,
 )
-from repro.core.constants import ANY_SOURCE
+from repro.core.constants import ANY_SOURCE, ANY_TAG
 from repro.core import WildcardClass
 from repro.traces.model import OpGroup, OpKind, RankTrace, Trace, TraceOp
 from repro.traces.synthetic import TraceBuilder, generate, halo_exchange_round
+from tests.analyzer.reference_analyze import reference_analyze
 
 
 def two_rank_trace():
@@ -109,6 +110,45 @@ class TestAnalyze:
         analysis = analyze(builder.build(), bins=1)
         # 2x2x2 periodic face-neighbors: 3 distinct neighbors.
         assert analysis.depth.max_depth == 2
+
+    def test_counters_iterate_in_first_seen_order(self):
+        """``most_common`` breaks ties by insertion order and the reports
+        print from these counters, so the order is part of the result:
+        counts here tie, and no key arrives in enum or numeric order."""
+        receives = [(ANY_SOURCE, ANY_TAG), (0, ANY_TAG), (ANY_SOURCE, 9), (0, 4)]
+        kinds = [OpKind.RECV, OpKind.IRECV, OpKind.RECV, OpKind.IRECV]
+        r1 = RankTrace(
+            1,
+            [
+                TraceOp(kind=kind, peer=source, tag=tag, walltime=0.1 * position)
+                for position, (kind, (source, tag)) in enumerate(zip(kinds, receives))
+            ]
+            + [TraceOp(kind=OpKind.WAITALL, size=4, walltime=2.0)],
+        )
+        r0 = RankTrace(
+            0,
+            [
+                TraceOp(kind=OpKind.BARRIER, walltime=0.05),
+                TraceOp(kind=OpKind.SEND, peer=1, tag=7, walltime=1.0),
+                TraceOp(kind=OpKind.ISEND, peer=1, tag=4, walltime=1.1),
+                TraceOp(kind=OpKind.SEND, peer=1, tag=9, walltime=1.2),
+                TraceOp(kind=OpKind.ISEND, peer=1, tag=2, walltime=1.3),
+            ],
+        )
+        trace = Trace(name="ties", nprocs=2, ranks=[r0, r1])
+        analysis = analyze(trace, bins=8)
+        expected = reference_analyze(trace, bins=8)
+        assert analysis == expected
+        for name in ("p2p_kinds", "wildcard_usage", "tag_usage"):
+            counter = getattr(analysis, name)
+            assert list(counter) == list(getattr(expected, name)), name
+            assert counter.most_common() == getattr(expected, name).most_common(), name
+        assert list(analysis.call_mix) == list(expected.call_mix)
+        assert list(analysis.p2p_kinds) == [OpKind.RECV, OpKind.IRECV, OpKind.SEND, OpKind.ISEND]
+        assert list(analysis.wildcard_usage) == [
+            WildcardClass.BOTH, WildcardClass.TAG, WildcardClass.SOURCE, WildcardClass.NONE
+        ]
+        assert list(analysis.tag_usage) == [9, 4, 7, 2]
 
 
 class TestSweepMonotonicity:

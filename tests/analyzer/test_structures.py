@@ -1,7 +1,10 @@
 """Tests for the emulated matching structures."""
 
+import pytest
+
 from repro.analyzer.structures import EmulatedMatcher
 from repro.core import ANY_SOURCE, ANY_TAG, MessageEnvelope, ReceiveRequest
+from repro.core.descriptor import DescriptorTableFull
 
 
 class TestEmulatedMatching:
@@ -9,7 +12,7 @@ class TestEmulatedMatching:
         m = EmulatedMatcher(bins=8)
         assert m.post_receive(ReceiveRequest(source=0, tag=0)) is False
         assert m.deliver(MessageEnvelope(source=0, tag=0)) is True
-        assert m.indexes.total_live() == 0
+        assert m.snapshot().total_posted == 0
 
     def test_unexpected_then_drain(self):
         m = EmulatedMatcher(bins=8)
@@ -17,16 +20,23 @@ class TestEmulatedMatching:
         assert m.unexpected_total == 1
         assert m.post_receive(ReceiveRequest(source=0, tag=0)) is True
         assert m.drained_total == 1
-        assert len(m.unexpected) == 0
+        assert m.snapshot().unexpected == 0
 
     def test_c1_across_indexes(self):
         m = EmulatedMatcher(bins=8)
         m.post_receive(ReceiveRequest(source=ANY_SOURCE, tag=7))
         m.post_receive(ReceiveRequest(source=1, tag=7))
-        m.deliver(MessageEnvelope(source=1, tag=7))
-        # Older wildcard receive consumed; exact one remains.
-        assert m.indexes.source_wildcard.total_live() == 0
-        assert m.indexes.no_wildcard.total_live() == 1
+        m.post_receive(ReceiveRequest(source=ANY_SOURCE, tag=ANY_TAG))
+        assert m.deliver(MessageEnvelope(source=1, tag=7)) is True
+        # The oldest of the three candidates — the source-wildcard
+        # receive — was consumed: the exact and the any/any one remain.
+        snap = m.snapshot()
+        assert (snap.total_posted, snap.wildcard_list_depth) == (2, 1)
+        assert m.deliver(MessageEnvelope(source=2, tag=7)) is True  # not the exact one
+        snap = m.snapshot()
+        assert (snap.total_posted, snap.wildcard_list_depth) == (1, 0)
+        assert m.deliver(MessageEnvelope(source=1, tag=7)) is True
+        assert m.snapshot().total_posted == 0
 
     def test_collision_counting(self):
         m = EmulatedMatcher(bins=1)
@@ -39,6 +49,21 @@ class TestEmulatedMatching:
         for tag in range(4):
             m.post_receive(ReceiveRequest(source=0, tag=tag))
         assert m.collisions == 0
+
+    def test_small_capacity_raises_and_a_drain_takes_no_slot(self):
+        m = EmulatedMatcher(bins=8, capacity=2)
+        m.deliver(MessageEnvelope(source=3, tag=3))  # waits unexpected
+        m.post_receive(ReceiveRequest(source=0, tag=0))
+        m.post_receive(ReceiveRequest(source=0, tag=1))
+        # The table is full, yet a posting that drains is never indexed.
+        assert m.post_receive(ReceiveRequest(source=3, tag=3)) is True
+        with pytest.raises(DescriptorTableFull):
+            m.post_receive(ReceiveRequest(source=0, tag=2))
+        assert m.snapshot().total_posted == 2
+        # A match frees its slot.
+        assert m.deliver(MessageEnvelope(source=0, tag=0)) is True
+        assert m.post_receive(ReceiveRequest(source=0, tag=2)) is False
+        assert m.snapshot().total_posted == 2
 
 
 class TestWalkMetric:
