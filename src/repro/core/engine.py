@@ -467,8 +467,10 @@ class OptimisticMatcher:
         if self.pressure is not None:
             self.pressure.release_descriptor()
         if self.recorder is not None:
+            # ``_value_`` is the member's plain attribute; ``.value``
+            # would cost two Python calls through the enum descriptor.
             self.recorder.stamp(
-                ctx.messages[tid].mid, "matched", path=path.value, thread=tid
+                ctx.messages[tid].mid, "matched", path=path._value_, thread=tid
             )
         if self._observer is not None:
             self._observer(

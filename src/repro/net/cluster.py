@@ -568,46 +568,60 @@ class ClusterSim:
         runs satisfy ``exact == checked``; faulty runs may retransmit,
         where only the delivered copy telescopes (``recovered``).
         """
+        columns = self.recorder.columns()
+        # Each message's first wire and first staged stamps, by mid.
+        wire = [None] * len(columns.tails)
+        staged = wire.copy()
+        for mid, phase, ts in zip(columns.mids, columns.phases, columns.times):
+            if phase == "wire":
+                if mid >= 0 and wire[mid] is None:
+                    wire[mid] = ts
+            elif phase == "staged":
+                if mid >= 0 and staged[mid] is None:
+                    staged[mid] = ts
         checked = exact = recovered = 0
-        for rec in self.recorder.records.values() if self.recorder.enabled else ():
-            wire_ts = staged_ts = None
-            for ts, phase, _ in rec.transitions:
-                if phase == "wire" and wire_ts is None:
-                    wire_ts = ts
-                elif phase == "staged" and staged_ts is None:
-                    staged_ts = ts
-            if wire_ts is None or staged_ts is None:
+        for wire_ts, staged_ts in zip(wire, staged):
+            if wire_ts is not None and staged_ts is not None:
+                checked += 1
+        # A message no injection explains is counted in neither
+        # ``exact`` nor ``recovered``: ``ClusterReport.ok`` requires the
+        # three to add up. The first injection that explains one settles it.
+        settled = [False] * len(wire)
+        for mid, _, name, detail, _ in columns.notes:
+            if name != "fabric_hops" or settled[mid] or not detail:
                 continue
-            checked += 1
-            # A message no injection explains is counted in neither
-            # ``exact`` nor ``recovered``: ``ClusterReport.ok`` requires
-            # the three to add up.
-            for ts, name, detail in rec.events:
-                if name != "fabric_hops" or not detail or detail["dropped"]:
-                    continue
-                arrival, inject = detail["arrival"], detail["inject"]
-                if arrival != staged_ts:
-                    continue
-                hop_sum = 0
-                for _, t_in, t_out in detail["hops"]:
-                    hop_sum += t_out - t_in
-                if hop_sum == arrival - inject:
-                    if inject == wire_ts:
-                        exact += 1
-                    else:
-                        recovered += 1  # a retransmitted copy delivered
-                    break
+            wire_ts = wire[mid]
+            if detail["dropped"] or wire_ts is None or detail["arrival"] != staged[mid]:
+                continue
+            hop_sum = 0
+            for _, t_in, t_out in detail["hops"]:
+                hop_sum += t_out - t_in
+            if hop_sum == detail["arrival"] - detail["inject"]:
+                settled[mid] = True
+                if detail["inject"] == wire_ts:
+                    exact += 1
+                else:
+                    recovered += 1  # a retransmitted copy delivered
         return {"checked": checked, "exact": exact, "recovered": recovered}
 
     def report(self) -> ClusterReport:
+        # Phase totals over completed messages, folded straight off the
+        # ledger's rows: each row closes the segment its ``prev`` row
+        # opened. Rows come in stamp order, not message by message; the
+        # sums are the same on the fabric's whole-tick clock.
+        columns = self.recorder.columns()
+        times, phases = columns.times, columns.phases
+        done = [row >= 0 and phases[row] == "complete" for row in columns.tails]
+        completed_records = done.count(True)
         totals: dict[str, float] = {}
-        completed_records = 0
-        if self.recorder.enabled:
-            for rec in self.recorder.records.values():
-                if not rec.completed:
-                    continue
-                completed_records += 1
-                rec.fold_phases(totals)
+        for mid, t1, prev in zip(columns.mids, times, columns.prevs):
+            if prev < 0 or mid < 0 or not done[mid]:
+                continue
+            phase = phases[prev]
+            if phase in totals:
+                totals[phase] += t1 - times[prev]
+            else:
+                totals[phase] = t1 - times[prev]
         outstanding = sum(len(node.outstanding) for node in self.ranks)
         retransmits = sum(wire.stats.retransmits for wire in self.wires)
         rnr = sum(wire.stats.rnr_naks for wire in self.wires)

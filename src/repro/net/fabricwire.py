@@ -47,8 +47,8 @@ def fabric_mid_of(packet: Packet) -> int:
         if packet.opcode == "rc_data":
             packet = packet.payload[1]
         if packet.opcode in ("send", "rts"):
-            return int(getattr(packet.payload[0], "mid", -1))
-    except (TypeError, IndexError):
+            return int(packet.payload[0].mid)
+    except (AttributeError, TypeError, IndexError):
         pass
     return -1
 

@@ -2,7 +2,7 @@
 observability layer's second act).
 
 Every message that enters the offload pipeline is assigned a globally
-unique ``mid`` and a :class:`MessageRecord` — an append-only list of
+unique ``mid`` and a lifecycle record — an append-only sequence of
 simulated-time *phase transitions* stamped at each layer the message
 crosses::
 
@@ -18,6 +18,23 @@ explain *why* a phase was slow attach :meth:`FlightRecorder.note`
 annotations (retransmit rounds, RNR stalls, credit stalls, block
 rollbacks, evictions); annotations are side-band events and never
 perturb the waterfall.
+
+**Columns while the run is on, records at export.** A stamp is on the
+per-packet path of every layer, so the recorder builds no object per
+message or per transition: per-mid lists indexed by mid (mids are
+dense, ``0..n-1``) hold what a record opened with and the row of its
+last transition and last note; a transition is one row across four
+flat columns (mid, ts, phase, and ``prev``, the row of the same mid's
+previous transition), with its detail dict, if any, beside them by
+row; notes are ``(mid, ts, name, detail, prev)`` rows of their own.
+The columns are allocated a block at a time, so a stamp is index
+stores. The unknown-mid test is ``0 <= mid < n`` (a foreign -1 never
+indexes from the end); the dedupe / post-complete / clamp rules read
+the record's last row; ``rewind`` walks ``prev`` back and blanks the
+rows it drops. :class:`MessageRecord` is the read model, built only by
+``export``, ``passport`` (one record), the ``records`` snapshot and
+``receives``; a whole-run fold (``ClusterSim.report``) reads
+:meth:`FlightRecorder.columns`.
 
 The recorder owns the run's simulated clock (:meth:`set_clock`): the
 chaos harness points it at the reliable wire's tick counter, the DPA
@@ -39,11 +56,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 __all__ = [
     "PHASES",
     "FlightRecorder",
+    "LedgerColumns",
     "LedgerDump",
     "MessageRecord",
     "NULL_RECORDER",
@@ -116,25 +134,6 @@ class MessageRecord:
     def completed(self) -> bool:
         return bool(self.transitions) and self.transitions[-1][1] == "complete"
 
-    def fold_phases(self, totals: dict[str, float]) -> None:
-        """Add this record's per-phase durations into ``totals``, in
-        one pass over the transitions (what a report summing thousands
-        of records wants; :meth:`phase_durations` is the same waterfall
-        for one record, as its own dict). The record must have opened.
-
-        Each segment goes straight into the running total, so a phase a
-        record enters twice is summed in a different order than adding
-        per-record dicts would — the same number on a tick clock, whose
-        durations are whole."""
-        tr = self.transitions
-        t0, phase, _ = tr[0]
-        for t1, entered, _ in tr[1:]:
-            if phase in totals:
-                totals[phase] += t1 - t0
-            else:
-                totals[phase] = t1 - t0
-            t0, phase = t1, entered
-
     def segments(self) -> list[tuple[float, float, str]]:
         """Phase occupancy intervals ``(t0, t1, phase)``.
 
@@ -150,8 +149,11 @@ class MessageRecord:
     def phase_durations(self) -> dict[str, float]:
         """Total time attributed to each phase (conserved waterfall)."""
         out: dict[str, float] = {}
-        if self.transitions:
-            self.fold_phases(out)
+        for t0, t1, phase in self.segments():
+            if phase in out:
+                out[phase] += t1 - t0
+            else:
+                out[phase] = t1 - t0
         return out
 
     # -- serialization ---------------------------------------------------
@@ -198,6 +200,33 @@ def _no_clock() -> float:
     return 0.0
 
 
+#: ``tails`` entries that are no row: a record with no live transition,
+#: and a mid :meth:`FlightRecorder.new_mid` handed out with no record.
+NO_ROW = -1
+NO_RECORD = -2
+
+
+class LedgerColumns(NamedTuple):
+    """The recorder's own containers, for a one-pass fold: read only.
+
+    Transition row ``i`` is ``mids[i]``, ``times[i]``, ``phases[i]`` and
+    ``prevs[i]`` (the mid's previous live row, or ``NO_ROW``), in stamp
+    order, and ``details[i]`` if it has a detail; a rewound row, like
+    the preallocated room past the last one, has mid ``NO_ROW``.
+    ``notes`` rows are ``(mid, ts, name, detail-or-None, prev)``.
+    ``tails[mid]`` is the mid's last live row, or ``NO_ROW`` /
+    ``NO_RECORD`` (which unassigned room reads as too).
+    """
+
+    tails: list[int]
+    mids: list[int]
+    times: list[float]
+    phases: list[str]
+    prevs: list[int]
+    details: dict[int, dict]
+    notes: list[tuple]
+
+
 class FlightRecorder:
     """Assigns mids, stamps transitions, exports the ledger.
 
@@ -213,15 +242,28 @@ class FlightRecorder:
 
     def __init__(self) -> None:
         self._clock: Callable[[], float] = _no_clock
-        self._next_mid = 0
-        self.records: dict[int, MessageRecord] = {}
         #: Run-level events (host takeover, re-offload, recovery
         #: epochs) that belong to no single message.
         self.events: list[tuple[float, str, dict | None]] = []
-        #: Receive-posting ledger rows (the ReceiveRequest side).
-        self.receives: list[dict] = []
+        # Per-mid columns and the transition columns are allocated a
+        # block at a time (see ``_grow``): writing one is an index store.
+        self._next_mid = self._mid_capacity = 0
+        self._meta: list[tuple[int, int, int, str] | None] = []
+        self._tails: list[int] = []
+        self._note_tails: list[int] = []
+        self._nrows = self._row_capacity = 0
+        self._mids: list[int] = []
+        self._times: list[float] = []
+        self._phases: list[str] = []
+        self._prevs: list[int] = []
+        self._details: dict[int, dict] = {}
+        self._notes: list[tuple] = []
+        self._nnotes = 0
+        self._label_of: dict[int, str] = {}
         self._labels: dict[str, int] = {}
-        self._open_receives: dict[int, list[int]] = {}
+        #: ``(handle, source, tag, ts)`` per posting, ``(handle, mid, ts)``
+        #: per completion, in call order.
+        self._receive_log: list[tuple] = []
 
     # -- clock -----------------------------------------------------------
 
@@ -234,9 +276,31 @@ class FlightRecorder:
 
     # -- message lifecycle ----------------------------------------------
 
+    def _grow(self, per_row: bool) -> None:
+        """Double the per-mid (or the transition) columns. Preallocated
+        entries read as a mid with no record (or a rewound row), and the
+        run keeps no object per row for the collector to count."""
+        if per_row:
+            block = max(self._row_capacity, 1024)
+            self._mids += [NO_ROW] * block
+            self._times += [0.0] * block
+            self._phases += [""] * block
+            self._prevs += [NO_ROW] * block
+            self._row_capacity += block
+        else:
+            block = max(self._mid_capacity, 256)
+            self._meta += [None] * block
+            self._tails += [NO_RECORD] * block
+            self._note_tails += [NO_ROW] * block
+            self._mid_capacity += block
+
     def new_mid(self) -> int:
+        """A fresh mid with no record behind it: stamps, notes and
+        labels addressed to it are ignored, as for foreign traffic."""
         mid = self._next_mid
-        self._next_mid += 1
+        if mid == self._mid_capacity:
+            self._grow(per_row=False)
+        self._next_mid = mid + 1
         return mid
 
     def open(
@@ -249,11 +313,9 @@ class FlightRecorder:
     ) -> int:
         """Open a record (stamps the ``send`` transition); returns mid."""
         mid = self.new_mid()
-        rec = MessageRecord(
-            mid, source=source, tag=tag, size=size, protocol=protocol
-        )
-        rec.transitions.append((float(self._clock()), "send", None))
-        self.records[mid] = rec
+        self._meta[mid] = (source, tag, size, protocol)
+        self._tails[mid] = NO_ROW
+        self.stamp(mid, "send")
         return mid
 
     def stamp(self, mid: int, phase: str, **detail: Any) -> None:
@@ -268,18 +330,31 @@ class FlightRecorder:
         applies those rules itself; :meth:`stamp_at` states them again
         for an explicit timestamp and the two must stay in step.
         """
-        rec = self.records.get(mid)
-        if rec is None:
+        if not 0 <= mid < self._next_mid:  # never index from the end
             return
-        tr = rec.transitions
-        if tr:
-            last_ts, last_phase, _ = tr[-1]
+        prev = self._tails[mid]
+        if prev >= 0:
+            last_phase = self._phases[prev]
             if last_phase == phase or last_phase == "complete":
                 return
-        ts = float(self._clock())  # read once, and only for a stamp that lands
-        if tr and ts < last_ts:
-            ts = last_ts
-        tr.append((ts, phase, detail or None))
+            ts = float(self._clock())  # read once, and only for a stamp that lands
+            if ts < self._times[prev]:
+                ts = self._times[prev]
+        elif prev == NO_ROW:
+            ts = float(self._clock())
+        else:
+            return
+        row = self._nrows
+        if row == self._row_capacity:
+            self._grow(per_row=True)
+        self._nrows = row + 1
+        self._mids[row] = mid
+        self._times[row] = ts
+        self._phases[row] = phase
+        self._prevs[row] = prev
+        self._tails[mid] = row
+        if detail:
+            self._details[row] = detail
 
     def stamp_at(self, mid: int, phase: str, ts: float, **detail: Any) -> None:
         """Record a phase transition at an explicit timestamp.
@@ -290,88 +365,153 @@ class FlightRecorder:
         wire attribution telescope exactly. Same dedupe / monotone /
         post-complete rules as :meth:`stamp`.
         """
-        rec = self.records.get(mid)
-        if rec is None:
+        if not 0 <= mid < self._next_mid:
+            return
+        prev = self._tails[mid]
+        if prev == NO_RECORD:
             return
         ts = float(ts)
-        tr = rec.transitions
-        if tr:
-            last_ts, last_phase, _ = tr[-1]
+        if prev >= 0:
+            last_phase = self._phases[prev]
             if last_phase == phase:
                 return
             if last_phase == "complete":
                 return
-            if ts < last_ts:
-                ts = last_ts
-        tr.append((ts, phase, detail or None))
+            if ts < self._times[prev]:
+                ts = self._times[prev]
+        row = self._nrows
+        if row == self._row_capacity:
+            self._grow(per_row=True)
+        self._nrows = row + 1
+        self._mids[row] = mid
+        self._times[row] = ts
+        self._phases[row] = phase
+        self._prevs[row] = prev
+        self._tails[mid] = row
+        if detail:
+            self._details[row] = detail
 
     def phase_of(self, mid: int) -> str:
         """The phase ``mid`` currently occupies ("" when unknown)."""
-        rec = self.records.get(mid)
-        if rec is None or not rec.transitions:
-            return ""
-        return rec.transitions[-1][1]
+        if 0 <= mid < self._next_mid:
+            row = self._tails[mid]
+            if row >= 0:
+                return self._phases[row]
+        return ""
 
     def complete(self, mid: int) -> None:
         self.stamp(mid, "complete")
 
     def note(self, mid: int, name: str, **detail: Any) -> None:
         """Attach a side-band annotation (never alters the waterfall)."""
-        rec = self.records.get(mid)
-        if rec is None:
+        if not 0 <= mid < self._next_mid or self._meta[mid] is None:
             return
-        rec.events.append((float(self._clock()), name, detail or None))
+        prev = self._note_tails[mid]
+        self._note_tails[mid] = self._nnotes
+        self._nnotes += 1
+        self._notes.append((mid, float(self._clock()), name, detail or None, prev))
 
     def mark(self, mid: int) -> int:
-        """Transition high-water mark, for speculative block attempts."""
-        rec = self.records.get(mid)
-        return len(rec.transitions) if rec is not None else 0
+        """Transition high-water mark, for speculative block attempts:
+        the record's live transition count."""
+        count = 0
+        if 0 <= mid < self._next_mid:
+            prevs = self._prevs
+            row = self._tails[mid]
+            while row >= 0:
+                count += 1
+                row = prevs[row]
+        return count
 
     def rewind(self, mid: int, mark: int) -> None:
         """Discard transitions stamped after ``mark`` (a rolled-back
         block attempt's stamps must not pollute the waterfall — the
         replay's stamps are authoritative; the rollback itself is
         recorded as a :meth:`note`)."""
-        rec = self.records.get(mid)
-        if rec is not None and len(rec.transitions) > mark:
-            del rec.transitions[mark:]
+        count = self.mark(mid)
+        if mark < 0:  # a slice bound, as ``del transitions[mark:]`` reads it
+            mark = max(count + mark, 0)
+        if count <= mark:
+            return
+        row = self._tails[mid]
+        for _ in range(count - mark):
+            self._mids[row] = NO_ROW
+            self._details.pop(row, None)
+            row = self._prevs[row]
+        self._tails[mid] = row
 
     def label(self, mid: int, ident: str) -> None:
         """Bind a human-readable identity (e.g. ``"rank:seq"``)."""
-        rec = self.records.get(mid)
-        if rec is None:
+        if not 0 <= mid < self._next_mid or self._meta[mid] is None:
             return
-        rec.label = ident
+        self._label_of[mid] = ident
         self._labels[ident] = mid
 
     def passport(self, ident: str) -> dict | None:
-        """The full lifecycle of the message labeled ``ident``."""
+        """The full lifecycle of the message labeled ``ident`` (builds
+        that one record, nothing else)."""
         mid = self._labels.get(ident)
-        if mid is None:
-            return None
-        return self.records[mid].to_dict()
+        return None if mid is None else self._record(mid).to_dict()
+
+    # -- read side -------------------------------------------------------
+
+    def columns(self) -> LedgerColumns:
+        """The columns themselves, read only, for a one-pass fold."""
+        return LedgerColumns(
+            self._tails, self._mids, self._times, self._phases, self._prevs,
+            self._details, self._notes,
+        )
+
+    def _record(self, mid: int) -> MessageRecord:
+        """Build ``mid``'s read model by walking its two chains back."""
+        source, tag, size, protocol = self._meta[mid]  # type: ignore[misc]
+        rec = MessageRecord(mid, source=source, tag=tag, size=size,
+                            protocol=protocol, label=self._label_of.get(mid, ""))
+        row = self._tails[mid]
+        while row >= 0:
+            detail = self._details.get(row)
+            rec.transitions.append((self._times[row], self._phases[row], detail))
+            row = self._prevs[row]
+        row = self._note_tails[mid]
+        while row >= 0:
+            _, ts, name, detail, row = self._notes[row]
+            rec.events.append((ts, name, detail))
+        rec.transitions.reverse()
+        rec.events.reverse()
+        return rec
+
+    @property
+    def records(self) -> dict[int, MessageRecord]:
+        """A fresh snapshot of every record, by mid (mutating it leaves
+        the ledger alone; the detail dicts are shared, read only)."""
+        meta = self._meta[: self._next_mid]
+        return {mid: self._record(mid) for mid, m in enumerate(meta) if m is not None}
 
     # -- receive lifecycle ----------------------------------------------
 
     def open_receive(self, handle: int, *, source: int, tag: int) -> None:
-        row = {
-            "handle": handle,
-            "source": source,
-            "tag": tag,
-            "posted": float(self._clock()),
-            "completed": None,
-            "mid": -1,
-        }
-        self._open_receives.setdefault(handle, []).append(len(self.receives))
-        self.receives.append(row)
+        self._receive_log.append((handle, source, tag, float(self._clock())))
 
     def close_receive(self, handle: int, mid: int = -1) -> None:
-        stack = self._open_receives.get(handle)
-        if not stack:
-            return
-        row = self.receives[stack.pop(0)]
-        row["completed"] = float(self._clock())
-        row["mid"] = mid
+        self._receive_log.append((handle, mid, float(self._clock())))
+
+    @property
+    def receives(self) -> list[dict]:
+        """Receive-posting ledger rows (the ReceiveRequest side): a
+        completion closes its handle's oldest open row, if any."""
+        rows: list[dict] = []
+        waiting: dict[int, list[dict]] = {}
+        for entry in self._receive_log:
+            if len(entry) == 4:
+                handle, source, tag, posted = entry
+                row = {"handle": handle, "source": source, "tag": tag,
+                       "posted": posted, "completed": None, "mid": -1}
+                waiting.setdefault(handle, []).append(row)
+                rows.append(row)
+            elif waiting.get(entry[0]):
+                row = waiting[entry[0]].pop(0)
+                _, row["mid"], row["completed"] = entry
+        return rows
 
     # -- run-level events ------------------------------------------------
 
@@ -389,22 +529,35 @@ class FlightRecorder:
                         [ts, name, detail or {}]
                         for ts, name, detail in self.events
                     ],
-                    "receives": list(self.receives),
+                    "receives": self.receives,
                 }
             }
         )
 
 
+def _noop(self, *args: Any, **kwargs: Any) -> None:
+    """What a :class:`NullRecorder` verb does: nothing."""
+
+
 class NullRecorder(FlightRecorder):
-    """Disabled recorder: every operation is an allocation-free no-op."""
+    """Disabled recorder: every operation is an allocation-free no-op,
+    and it holds no state at all — not even an empty ``records``."""
 
     enabled = False
 
-    def __init__(self) -> None:  # no per-instance state at all
+    def __init__(self) -> None:
         pass
 
-    def set_clock(self, clock) -> None:
-        pass
+    @property
+    def records(self) -> dict[int, MessageRecord]:
+        raise AttributeError("a NullRecorder keeps no records")
+
+    @property
+    def receives(self) -> list[dict]:
+        raise AttributeError("a NullRecorder keeps no receive rows")
+
+    set_clock = stamp = stamp_at = complete = note = rewind = label = _noop
+    open_receive = close_receive = event = passport = _noop
 
     def now(self) -> float:
         return 0.0
@@ -415,41 +568,14 @@ class NullRecorder(FlightRecorder):
     def open(self, **kwargs: Any) -> int:
         return -1
 
-    def stamp(self, mid: int, phase: str, **detail: Any) -> None:
-        pass
-
-    def stamp_at(self, mid: int, phase: str, ts: float, **detail: Any) -> None:
-        pass
-
     def phase_of(self, mid: int) -> str:
         return ""
-
-    def complete(self, mid: int) -> None:
-        pass
-
-    def note(self, mid: int, name: str, **detail: Any) -> None:
-        pass
 
     def mark(self, mid: int) -> int:
         return 0
 
-    def rewind(self, mid: int, mark: int) -> None:
-        pass
-
-    def label(self, mid: int, ident: str) -> None:
-        pass
-
-    def passport(self, ident: str) -> dict | None:
-        return None
-
-    def open_receive(self, handle: int, *, source: int, tag: int) -> None:
-        pass
-
-    def close_receive(self, handle: int, mid: int = -1) -> None:
-        pass
-
-    def event(self, name: str, **detail: Any) -> None:
-        pass
+    def columns(self) -> LedgerColumns:
+        return LedgerColumns([], [], [], [], [], {}, [])
 
     def export(self, scenario: str = "run") -> "LedgerDump":
         return LedgerDump()

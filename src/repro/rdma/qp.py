@@ -190,7 +190,7 @@ class QueuePair:
                     else:
                         bounce.write(payload)
                 if self.recorder.enabled:
-                    mid = getattr(header, "mid", -1)
+                    mid = header.mid
                     where = "host" if host_data else (
                         "bounce" if bounce is not None else "inline"
                     )

@@ -243,7 +243,7 @@ class ReliableWire:
         tx.unacked.append((psn, frame))
         self.stats.data_sent += 1
         if self._recorder.enabled and packet.opcode in ("send", "rts"):
-            mid = getattr(packet.payload[0], "mid", -1)
+            mid = packet.payload[0].mid
             if mid >= 0:
                 self._psn_mids[src][psn] = mid
                 self._recorder.stamp(mid, "wire", psn=psn)

@@ -67,13 +67,20 @@ class TestEndToEnd:
         every message was delivered in order."""
         sim = ClusterSim(cluster_workload("halo", 8, rounds=2), topology="torus")
         assert_clean(sim.run())
-        # Doctor one record: move its wire stamp off the inject tick
-        # and its arrival off every injection's.
-        rec = sim.recorder.records[3]
-        rec.transitions = [
-            (ts + 0.5, phase, detail) if phase in ("wire", "staged") else (ts, phase, detail)
-            for ts, phase, detail in rec.transitions
-        ]
+        # Doctor one record through the recorder's own verbs: rewind it
+        # to its ``send`` stamp, then re-stamp the rest with the wire
+        # stamp moved off the inject tick and the arrival off every
+        # injection's.
+        recorder = sim.recorder
+        transitions = recorder.records[3].transitions
+        assert transitions[0][1] == "send"
+        recorder.rewind(3, 1)
+        for ts, phase, detail in transitions[1:]:
+            if phase in ("wire", "staged"):
+                ts += 0.5
+            recorder.stamp_at(3, phase, ts, **(detail or {}))
+        doctored = recorder.records[3].transitions
+        assert [phase for _, phase, _ in doctored] == [phase for _, phase, _ in transitions]
         report = sim.report()
         cons = report.results["conservation"]
         assert cons["checked"] == cons["exact"] + cons["recovered"] + 1

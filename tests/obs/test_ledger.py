@@ -228,6 +228,20 @@ class TestExportRoundTrip:
         assert rec.completed and rec.latency == 5.0
         assert rec.events == [(2.0, "rnr", None)]
 
+    def test_mutating_a_records_snapshot_leaves_the_ledger_alone(self):
+        recorder = self._populated()
+        before = recorder.export(scenario="unit").to_json()
+        snapshot = recorder.records
+        rec = snapshot[0]
+        rec.transitions.append((9.0, "engine", None))
+        rec.transitions[0] = (7.0, "send", None)
+        rec.events.clear()
+        rec.label = "forged"
+        del snapshot[0]
+        assert recorder.export(scenario="unit").to_json() == before
+        assert recorder.records[0].label == "0:0"
+        assert recorder.passport("0:0")["transitions"][0] == [0.0, "send", {}]
+
     def test_from_json_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
             LedgerDump.from_dict({"schema": "bogus/v0", "scenarios": {}})

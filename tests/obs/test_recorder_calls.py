@@ -1,0 +1,132 @@
+"""Call-count and collector guard for the enabled flight recorder.
+
+Counts, not timings — ``sys.setprofile`` events and collector-tracked
+objects — so the guard reads the same on any machine. The columnar
+recorder's rules (docs/ARCHITECTURE.md, "Message lifecycle"):
+
+* **per stamp** the recorder writes one row into preallocated columns
+  and reads a few list entries: no ``MessageRecord``, no dict lookup by
+  mid, no object per row, and nothing on the stamp path reads a header
+  through ``getattr``;
+* **at export** the per-message views are built — so a cluster run and
+  its report build zero ``MessageRecord`` objects;
+* what the recorder keeps alive is its column lists, one note row per
+  note, and the detail dicts layers attach.
+
+The ceilings are the CPython 3.11 counts plus a margin; later
+interpreters inline more and count fewer.
+"""
+
+import gc
+import sys
+from collections import Counter
+
+from repro.chaos.harness import ChaosConfig, run_chaos
+from repro.net.cluster import ClusterSim, cluster_workload
+from repro.obs.ledger import FlightRecorder
+from repro.rdma.wire import _scalar_checksum, control_frame
+
+RANKS = 16
+ROUNDS = 3
+#: Recorder-on minus recorder-off ``call`` + ``c_call`` events per
+#: delivery of the 16-rank halo: 24.5 measured (53.5 with a record
+#: object per message), plus 10 %.
+RECORDER_CALLS_PER_DELIVERY_CEILING = 27.0
+#: The chaos pipeline ``python -m repro.obs.overhead --ledger`` times.
+CHAOS = ChaosConfig(seed=3, rounds=6)
+#: Its recorder's extra events per message: 40.3 measured (65.3 with a
+#: record object per message).
+CHAOS_CALLS_PER_MESSAGE_CEILING = 44
+#: Collector-tracked objects its recorder leaves alive per message: 6.2
+#: measured (14.1 with a record object per message), the recorder's
+#: few column lists included.
+CHAOS_ALIVE_PER_MESSAGE_CEILING = 7
+#: Where a header's mid is read on the enabled path: by attribute, never
+#: through ``getattr``.
+STAMP_PATH = {
+    ("qp.py", "process_inbound"),
+    ("reliability.py", "transmit"),
+    ("fabricwire.py", "fabric_mid_of"),
+    ("fabricwire.py", "transmit"),
+    ("fabricwire.py", "_take"),
+}
+
+
+def _profiled(fn):
+    """(result, total events, calls by qualified name, getattr callers)."""
+    calls: Counter = Counter()
+    getattr_callers: Counter = Counter()
+    total = 0
+
+    def hook(frame, event, arg):
+        nonlocal total
+        if event == "call":
+            total += 1
+            calls[frame.f_code.co_qualname] += 1
+        elif event == "c_call":
+            total += 1
+            if arg is getattr:
+                code = frame.f_code
+                getattr_callers[code.co_filename.rsplit("/", 1)[-1], code.co_name] += 1
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, total, calls, getattr_callers
+
+
+def _cluster_run(record: bool):
+    trace = cluster_workload("halo", RANKS, rounds=ROUNDS)
+    # The by-value memos are process-wide; start them empty so both
+    # runs pay the same misses.
+    _scalar_checksum.cache_clear()
+    control_frame.cache_clear()
+    return _profiled(lambda: ClusterSim(trace, topology="torus", record=record).run())
+
+
+def test_cluster_run_builds_no_records_and_reads_no_header_by_getattr():
+    report, on, calls, getattr_callers = _cluster_run(record=True)
+    _, off, _, _ = _cluster_run(record=False)
+    deliveries = report.results["deliveries"]
+    assert report.ok and deliveries == RANKS * 4 * ROUNDS
+    assert report.results["completed_records"] == deliveries
+    # run() ends in report(): neither builds the read model.
+    assert calls["MessageRecord.__init__"] == 0
+    assert calls["FlightRecorder.passport"] == 0
+    assert calls["FlightRecorder.columns"] == 2  # phase totals, conservation
+    assert not STAMP_PATH & set(getattr_callers), getattr_callers
+    assert not {site for site in getattr_callers if site[0] == "ledger.py"}
+    # The engine's ``matched`` stamp reads the path's value without the
+    # enum descriptor.
+    assert calls["property.__get__"] == 0 and calls["Enum.value"] == 0
+    extra = (on - off) / deliveries
+    assert extra <= RECORDER_CALLS_PER_DELIVERY_CEILING, extra
+
+
+def test_chaos_pipeline_recorder_calls_per_message():
+    run_chaos(CHAOS)  # warm the process-wide memos
+    off_report, off, _, _ = _profiled(lambda: run_chaos(CHAOS))
+    on_report, on, calls, _ = _profiled(lambda: run_chaos(CHAOS, recorder=FlightRecorder()))
+    assert on_report.sent == off_report.sent > 0
+    assert calls["MessageRecord.__init__"] == 0
+    extra = (on - off) / on_report.sent
+    assert extra <= CHAOS_CALLS_PER_MESSAGE_CEILING, extra
+
+
+def test_chaos_pipeline_recorder_leaves_few_tracked_objects():
+    def alive_after(**kwargs):
+        gc.collect()
+        before = len(gc.get_objects())
+        report = run_chaos(CHAOS, **kwargs)
+        gc.collect()
+        return len(gc.get_objects()) - before, report
+
+    run_chaos(CHAOS)  # warm the process-wide memos
+    off, _ = alive_after()
+    recorder = FlightRecorder()
+    on, report = alive_after(recorder=recorder)
+    assert recorder.mark(0) > 0  # the recorder is alive and recorded
+    per_message = (on - off) / report.sent
+    assert per_message <= CHAOS_ALIVE_PER_MESSAGE_CEILING, per_message
