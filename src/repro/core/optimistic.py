@@ -8,8 +8,16 @@ end up with up to four candidates and must select the one with the
 minimum post label.
 
 The search is written as a generator so the stepped executor can
-interleave threads between probes; every physical chain-node visit is
-one step and one probe in the cost model.
+interleave threads between probes; every bucket lookup and every
+physical chain-node visit is one step in the cost model, and every
+visit one probe. It looks ahead: it counts those steps and yields the
+count (``yield n``, :mod:`repro.core.threadsim`) only before a read
+whose answer can still change. A node already marked or consumed, or
+failing the residual predicate, is decided when the walk reaches it
+(marks and consumption only switch on within a block, and the
+predicate reads frozen fields); the liveness re-check and the
+early-booking test still run at the node's own step. Pricing and the
+poll rule are unchanged: a skipped node still adds its probe and step.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ def search_candidate(
     inline = config.use_inline_hashes and msg.inline_hashes is not None
 
     best: ReceiveDescriptor | None = None
+    owed = 0  # steps taken and not yet yielded
     for wc, chain, predicate in indexes.candidate_chains(msg):
         stats.buckets_probed += 1
         if not (inline and wc is not WildcardClass.BOTH):
@@ -80,21 +89,34 @@ def search_candidate(
             # each cost one hash unless the sender shipped it inline.
             if wc is not WildcardClass.BOTH:
                 stats.hashes_computed += 1
-        yield  # bucket lookup step
-        for node in chain.iter_nodes(include_marked=True):
+        owed += 1  # bucket lookup step
+        # Chains only change shape between blocks, so the walk follows
+        # the physical links it finds now.
+        node = chain.physical_head
+        while node is not None:
             stats.probes_walked += 1
-            yield  # chain-walk step
+            owed += 1  # chain-walk step
             descr: ReceiveDescriptor = node.payload
+            # Decided by looking ahead: marking and consumption only
+            # switch on within a block, and the predicate reads frozen
+            # fields, so the node's own step would skip it too.
+            if node.marked or descr.consumed or not predicate(descr.request, msg):
+                node = node.next
+                continue
+            yield owed  # up to and including this node's step
+            owed = 0
             if node.marked or descr.consumed:
-                continue  # lazily-removed entry still physically present
-            if not predicate(descr.request, msg):
-                continue  # hash collision within the bucket
+                node = node.next
+                continue  # consumed while this thread was walking
             if early_skip and descr.booking.any_below(thread_id):
                 stats.early_skips += 1
+                node = node.next
                 continue  # a lower thread is guaranteed to consume it
             # First live match in a posting-ordered chain: the oldest
             # candidate this index can offer (C1 within the index).
             if best is None or descr.post_label < best.post_label:
                 best = descr
             break
+    if owed:
+        yield owed
     return best

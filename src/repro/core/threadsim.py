@@ -14,13 +14,25 @@ generators under a pluggable policy:
   lets hypothesis drive the scheduler in property tests and *prove*
   the booking/barrier protocol under arbitrary schedules.
 
-Yield protocol: a thread yields ``None`` to mark one step of work, or
-yields a zero-argument callable ``cond`` meaning "block me until
-``cond()`` is true" (engine threads yield a ``MaskedWait``, see
-below). A blocked thread whose condition never becomes true while
-every other thread is blocked or finished is a deadlock and raises
-:class:`DeadlockError` — turning liveness bugs into test failures
-instead of hangs.
+Yield protocol: a thread yields ``None`` to mark one step of work, a
+positive int ``n`` to mark ``n`` (``yield 1`` is ``yield None``), or a
+zero-argument callable ``cond`` meaning "block me until ``cond()`` is
+true" (engine threads yield a ``MaskedWait``, see below). A blocked
+thread whose condition never becomes true while every other thread is
+blocked or finished is a deadlock and raises :class:`DeadlockError` —
+turning liveness bugs into test failures instead of hangs.
+
+``yield n`` is a promise: the thread's next ``n`` steps read nothing
+another thread writes and write nothing. The step that yields it is
+the first; each of the other ``n − 1`` is charged when the policy
+picks the thread, without resuming it. Under :class:`RoundRobinPolicy`,
+when every runnable thread owes steps and no plain callable is
+blocked, whole rotations are charged at once: nothing is written, so
+nobody wakes; a rotation leaves the next pick where it was; and the
+shortcut stops short of ``max_steps``. The other policies pick once
+per step, because their draws *are* the schedule. A count below 1
+raises ``ValueError``. Owed steps are steps like any other to the
+poll rule below and to the cycle model.
 
 Poll rule (the cycle model prices it, see docs/CALIBRATION.md): a
 blocked thread polls its condition once per scheduler step taken by
@@ -44,7 +56,8 @@ must not change what another reads.
 
 ``tests/core/reference_executor.py`` is the model that really does
 poll every blocked thread on every step, and the executor must match
-it step for step (``test_threadsim_differential.py``).
+it step for step (``test_threadsim_differential.py``, which spells
+each ``yield n`` out as ``n`` bare yields for it).
 """
 
 from __future__ import annotations
@@ -66,8 +79,10 @@ __all__ = [
     "ThreadStats",
 ]
 
-#: What a simulated thread may yield: a bare step or a wait condition.
-Yielded = Callable[[], bool] | None
+#: What a simulated thread may yield: a bare step (``None``), a count
+#: of steps that touch nothing shared (a positive int), or a wait
+#: condition.
+Yielded = Callable[[], bool] | int | None
 ThreadProc = Generator[Yielded, None, None]
 
 
@@ -200,6 +215,11 @@ class SteppedExecutor:
         masks = [0] * count
         plain: list[int] = []
         conds: list[Callable[[], bool] | None] = [None] * count
+        # Steps a thread promised with `yield n` and has not yet been
+        # charged; `owing` counts the threads with any (all runnable).
+        owed = [0] * count
+        owing = 0
+        rotate = type(self._policy) is RoundRobinPolicy
 
         while alive:
             if blocked:
@@ -237,33 +257,57 @@ class SteppedExecutor:
                     raise DeadlockError(
                         f"threads {stuck} are all blocked with unsatisfiable conditions"
                     )
+            if owing and rotate and owing == len(runnable) and not plain:
+                # Nothing runs, so nobody wakes: whole rotations are
+                # arithmetic, stopping short of the livelock guard.
+                rounds = min(min(map(owed.__getitem__, runnable)), (max_steps - 1 - step) // owing)
+                if rounds > 0:
+                    step += rounds * owing
+                    for t in runnable:
+                        steps[t] += rounds
+                        owed[t] -= rounds
+                        if not owed[t]:
+                            owing -= 1
             tid = pick(runnable)
             steps[tid] += 1
-            try:
-                yielded = threads[tid].send(None)
-            except StopIteration:
-                runnable.remove(tid)
-                alive -= 1
+            if owed[tid]:
+                owed[tid] -= 1
+                if not owed[tid]:
+                    owing -= 1
             else:
-                if yielded is not None:
+                try:
+                    yielded = threads[tid].send(None)
+                except StopIteration:
                     runnable.remove(tid)
-                    blocked += 1
-                    # Polled from the next step on: waking at step w
-                    # costs w - blocked_at polls.
-                    blocked_at[tid] = step
-                    if type(yielded) is MaskedWait:
-                        masks[tid] = yielded.mask
-                        word = yielded.word
-                        for group in groups:
-                            if group[0] is word:
-                                group[1] = -1
-                                group[2].append(tid)
-                                break
+                    alive -= 1
+                else:
+                    if type(yielded) is int:
+                        if yielded < 1:
+                            raise ValueError(
+                                f"thread {tid} yielded {yielded}; a step count must be >= 1"
+                            )
+                        if yielded > 1:
+                            owed[tid] = yielded - 1
+                            owing += 1
+                    elif yielded is not None:
+                        runnable.remove(tid)
+                        blocked += 1
+                        # Polled from the next step on: waking at step w
+                        # costs w - blocked_at polls.
+                        blocked_at[tid] = step
+                        if type(yielded) is MaskedWait:
+                            masks[tid] = yielded.mask
+                            word = yielded.word
+                            for group in groups:
+                                if group[0] is word:
+                                    group[1] = -1
+                                    group[2].append(tid)
+                                    break
+                            else:
+                                groups.append([word, -1, [tid]])
                         else:
-                            groups.append([word, -1, [tid]])
-                    else:
-                        conds[tid] = yielded
-                        insort(plain, tid)
+                            conds[tid] = yielded
+                            insort(plain, tid)
             step += 1
             if step >= max_steps:
                 raise RuntimeError(

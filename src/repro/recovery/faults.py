@@ -272,6 +272,10 @@ class CoreFaultInjector:
         its end: the core died after its work, but before the block's
         epilogue — the block must abort and replay either way, or the
         armed fault would silently vanish from the schedule.
+
+        A ``yield n`` is n steps; a strike inside them yields the steps
+        up to it and faults without resuming ``inner``, whose next
+        segment n bare yields would not have reached either.
         """
 
         def gen() -> Generator[Yielded, None, None]:
@@ -279,7 +283,11 @@ class CoreFaultInjector:
             for item in inner:
                 if steps >= fault.at_step:
                     break
-                steps += 1
+                taken = item if type(item) is int else 1
+                if steps + taken > fault.at_step:
+                    yield fault.at_step - steps
+                    break
+                steps += taken
                 yield item
             inner.close()
             if fault.kind is CoreFaultKind.HANG:

@@ -137,6 +137,11 @@ class IntrusiveList(Generic[T]):
         for node in self.iter_nodes():
             yield node.payload
 
+    @property
+    def physical_head(self) -> IntrusiveNode[T] | None:
+        """First node physically present, marked or not."""
+        return self._head
+
     def head(self) -> IntrusiveNode[T] | None:
         """First live node, or ``None``."""
         node = self._head

@@ -13,8 +13,15 @@ and ``MaskedWait`` conditions on shared ``Bitmap`` words (evaluated
 only when the word changed, polls *counted*). Words are set and
 cleared, so a condition that was true can turn false again before its
 waiter is looked at. To the reference both kinds are just callables.
+
+Programs also yield step counts (``yield n``: n bare steps the
+production executor charges without resuming the thread, and under
+round-robin in whole rotations). The reference predates them, so it
+runs each thread through an adapter that expands ``n`` into n bare
+yields.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +51,7 @@ bits = st.integers(0, WIDTH - 1)
 #: a flag that some thread may set, may never get to set, or cannot set
 #: (plain callables); setting or clearing a bit of a shared word, or
 #: waiting on a word — the engine's "all bits below i" or any mask,
-#: the empty one included (MaskedWait).
+#: the empty one included (MaskedWait); n bare steps at once.
 thread_ops = st.one_of(
     st.just(("step",)),
     st.tuples(st.just("set"), st.integers(0, FLAGS - 1)),
@@ -53,6 +60,7 @@ thread_ops = st.one_of(
     st.tuples(st.just("bit_clear"), words, bits),
     st.tuples(st.just("wait_below"), words, bits),
     st.tuples(st.just("wait_mask"), words, st.integers(0, (1 << WIDTH) - 1)),
+    st.tuples(st.just("skip"), st.integers(1, 6)),
 )
 #: Programs of different lengths (the empty one included) give early
 #: finishers.
@@ -83,6 +91,8 @@ def _thread(tid, ops, flags, bitmaps, log):
             yield bitmaps[op[1]].all_below_condition(op[2])
         elif op[0] == "wait_mask":
             yield MaskedWait(bitmaps[op[1]], op[2])
+        elif op[0] == "skip":
+            yield op[1]
         else:
 
             def cond(flag=op[1]):
@@ -93,12 +103,24 @@ def _thread(tid, ops, flags, bitmaps, log):
     log.append(("done", tid))
 
 
+def _expanded(thread):
+    """``thread`` with every ``yield n`` spelled as n bare yields."""
+    for item in thread:
+        if type(item) is int:
+            for _ in range(item):
+                yield None
+        else:
+            yield item
+
+
 def _run(executor, progs):
     """(outcome, log): outcome is the per-thread stats or the error."""
     flags = [False] * (FLAGS + 1)
     bitmaps = [Bitmap(WIDTH) for _ in range(WORDS)]
     log = []
     threads = [_thread(tid, ops, flags, bitmaps, log) for tid, ops in enumerate(progs)]
+    if isinstance(executor, ReferenceExecutor):
+        threads = [_expanded(thread) for thread in threads]
     try:
         stats = executor.run(threads)
     except (DeadlockError, RuntimeError) as exc:
@@ -122,6 +144,30 @@ class TestAgainstReference:
         )
         assert outcome == expected
         assert log == expected_log
+
+    @COMMON
+    @given(
+        skips=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        tail=st.lists(thread_ops, max_size=3),
+        max_steps=st.integers(1, 40),
+    )
+    def test_livelock_guard_inside_a_rotation(self, skips, tail, max_steps):
+        """Every thread opens with a step count, so round-robin charges
+        whole rotations; a budget that runs out inside one must trip at
+        the same step, with the same resumes behind it."""
+        progs = [[("skip", n)] + tail for n in skips]
+        assert _run(SteppedExecutor(max_steps=max_steps), progs) == _run(
+            ReferenceExecutor(max_steps=max_steps), progs
+        )
+
+    def test_step_count_must_be_positive(self):
+        for count in (0, -1):
+
+            def thread(count=count):
+                yield count
+
+            with pytest.raises(ValueError, match="step count must be >= 1"):
+                SteppedExecutor().run([thread()])
 
     def test_all_three_outcomes_are_reachable(self):
         """The property above must not be comparing only clean runs."""
@@ -252,8 +298,19 @@ class TestMaskedPollRule:
         """``wait_polls`` from first principles, with neither executor
         as the oracle: replay the words' history and find, for every
         masked wait, the first step whose poll saw its mask satisfied."""
+        # Bare steps only: the log shows resumes, and a step count's
+        # charged steps fall wherever the policy puts them.
         masked = [
-            [op if op[0] not in ("set", "wait") else ("step",) for op in ops] for ops in progs
+            [
+                expanded
+                for op in ops
+                for expanded in (
+                    [("step",)] * op[1]
+                    if op[0] == "skip"
+                    else [op if op[0] not in ("set", "wait") else ("step",)]
+                )
+            ]
+            for ops in progs
         ]
         outcome, log = _run(SteppedExecutor(RandomPolicy(seed)), masked)
         if outcome[0] != "ok":

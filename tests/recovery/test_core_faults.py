@@ -1,15 +1,21 @@
 """CoreFaultPlan / CoreFaultInjector / CoreQuarantine semantics."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core import EngineConfig
-from repro.core.threadsim import DeadlockError
+from repro.core.threadsim import DeadlockError, SchedulePolicy, SteppedExecutor
 from repro.recovery import (
+    CoreFault,
+    CoreFaultInjector,
+    CoreFaultKind,
     CoreFaultPlan,
     CoreQuarantine,
     RecoveringMatcher,
     RecoveryPolicy,
 )
+from repro.recovery.faults import ArmedFault
 from tests.recovery.streams import drive, schedule_rounds
 
 
@@ -111,3 +117,51 @@ class TestUnattributedFaults:
         with pytest.raises(DeadlockError, match="planted"):
             drive(matcher, rounds)
         assert matcher.recovery_stats.block_rollbacks == 0
+
+
+class _CountingPolicy(SchedulePolicy):
+    """Picks the lowest runnable thread and counts the steps."""
+
+    def __init__(self) -> None:
+        self.picks = 0
+
+    def pick(self, runnable):
+        self.picks += 1
+        return runnable[0]
+
+
+def _struck(kind, at_step, *, bare):
+    """(executor steps, inner side effects, error) of one victim thread
+    that takes five steps, as ``yield 5`` or as five bare yields, and
+    two more bare ones."""
+    log = []
+
+    def inner():
+        log.append("start")
+        if bare:
+            for _ in range(5):
+                yield None
+        else:
+            yield 5
+        log.append("mid")
+        yield None
+        yield None
+        log.append("after")
+
+    injector = CoreFaultInjector(CoreFaultPlan.clean(), active_cores=lambda: [0])
+    fault = ArmedFault(kind=kind, core=0, thread=0, block=1, at_step=at_step)
+    victim = injector._faulty(inner(), SimpleNamespace(candidates=[None]), fault)
+    policy = _CountingPolicy()
+    with pytest.raises((CoreFault, DeadlockError)) as err:
+        SteppedExecutor(policy).run([victim])
+    return policy.picks, log, type(err.value)
+
+
+class TestStrikeStep:
+    @pytest.mark.parametrize("kind", list(CoreFaultKind))
+    @pytest.mark.parametrize("at_step", range(1, 10))
+    def test_step_count_is_struck_where_its_bare_steps_are(self, kind, at_step):
+        """``yield n`` is n steps to the strike point too: a strike
+        inside the run lands on the same executor step as it would on
+        n bare yields, without running the segment after them."""
+        assert _struck(kind, at_step, bare=False) == _struck(kind, at_step, bare=True)
