@@ -303,6 +303,8 @@ def generate(name: str, *, processes: int | None = None, rounds: int = 6) -> Tra
 
     ``processes`` defaults to the spec's CI-friendly scale; pass
     ``APPLICATIONS[name].table_processes`` for the paper's scale.
+    Raises ``ValueError`` naming the round and phase if a round's
+    phases overlap (the bound in :mod:`repro.traces.synthetic.base`).
     """
     spec = APPLICATIONS.get(name)
     if spec is None:
@@ -310,4 +312,5 @@ def generate(name: str, *, processes: int | None = None, rounds: int = 6) -> Tra
     nprocs = processes if processes is not None else spec.default_processes
     builder = TraceBuilder(spec.name, nprocs)
     spec.generator(builder, rounds)
+    builder.check_phases()
     return builder.build()

@@ -5,11 +5,26 @@ Each function emits one or more rounds of traffic into a
 the structural vocabulary of the Table II mini-apps: halo exchanges on
 structured grids, transpose-style all-to-all, many-to-one fan-in,
 wavefront sweeps, ring shifts, and irregular neighbor exchange.
+
+They write a phase at a time: each rank's receives (then sends) of a
+round are one :meth:`~repro.traces.synthetic.base.RankBuilder.emit` call
+over a list of ``(peer, tag)`` pairs, and a round's waits take their
+stamps in one :meth:`~repro.traces.synthetic.base.RoundClock.stamps`
+call; halo grids come from the builder's per-trace neighbour table. The
+stamps are arithmetic (the base module's time model), so a round's
+length grows with its ops: a phase of more than about 100 000 ops
+(400 000 for receives) overruns its window — ``stamps`` records it, once
+per call, and ``generate`` raises ``ValueError`` naming the app, round
+and phase. The largest Table II phase is 13 824 ops (MiniFe at 1 152
+ranks). ``irregular_round`` draws its wildcard choices one per receive,
+in posting order, as it always has.
 """
 
 from __future__ import annotations
 
-from repro.traces.synthetic.base import TraceBuilder
+from repro.core.constants import ANY_SOURCE
+from repro.traces.model import OpKind
+from repro.traces.synthetic.base import WAIT, RankBuilder, RoundClock, TraceBuilder
 from repro.util.rng import derive_seed, make_rng
 
 __all__ = [
@@ -105,6 +120,21 @@ def grid_neighbors(
     return neighbors
 
 
+def _exchange(
+    clock: RoundClock,
+    members: list[RankBuilder],
+    recv_pairs: list[list[tuple[int, int]]],
+    send_pairs: list[list[tuple[int, int]]],
+    size: int,
+) -> None:
+    """One round's three phases, a phase at a time: every member posts its
+    receives, then every member sends, then each waits on all its requests."""
+    recvs = [rb.emit(clock, OpKind.IRECV, p, size) for rb, p in zip(members, recv_pairs)]
+    sends = [rb.emit(clock, OpKind.ISEND, p, size) for rb, p in zip(members, send_pairs)]
+    for rb, r, s, stamp in zip(members, recvs, sends, clock.stamps(WAIT, len(members))):
+        rb.waitall([*r, *s], stamp)
+
+
 def halo_exchange_round(
     builder: TraceBuilder,
     dims: tuple[int, ...],
@@ -120,28 +150,12 @@ def halo_exchange_round(
     knob that reproduces each app's Fig. 7 queue depth.
     """
     clock = builder.begin_round()
-    pending: dict[int, list[int]] = {}
-    for rank_builder in builder.ranks:
-        neighbors = grid_neighbors(rank_builder.rank, dims, diagonals=diagonals)
-        reqs = []
-        for field in range(fields):
-            for neighbor in neighbors:
-                reqs.append(
-                    rank_builder.irecv(neighbor, tag_base + field, clock.recv(), size=size)
-                )
-        pending[rank_builder.rank] = reqs
-    for rank_builder in builder.ranks:
-        neighbors = grid_neighbors(rank_builder.rank, dims, diagonals=diagonals)
-        for field in range(fields):
-            for neighbor in neighbors:
-                reqs = pending[rank_builder.rank]
-                reqs.append(
-                    rank_builder.isend(
-                        neighbor, tag_base + field, clock.send(rank_builder.rank), size=size
-                    )
-                )
-    for rank_builder in builder.ranks:
-        rank_builder.waitall(pending[rank_builder.rank], clock.wait())
+    tags = range(tag_base, tag_base + fields)
+    pairs = [
+        [(peer, tag) for tag in tags for peer in peers]
+        for peers in builder.neighbor_table(dims, diagonals)
+    ]
+    _exchange(clock, builder.ranks, pairs, pairs, size)
 
 
 def alltoall_p2p_round(
@@ -154,24 +168,9 @@ def alltoall_p2p_round(
     """
     ranks = group if group is not None else list(range(builder.nprocs))
     clock = builder.begin_round()
-    pending: dict[int, list[int]] = {}
-    for rank in ranks:
-        rank_builder = builder.ranks[rank]
-        reqs = [
-            rank_builder.irecv(peer, tag, clock.recv(), size=size)
-            for peer in ranks
-            if peer != rank
-        ]
-        pending[rank] = reqs
-    for rank in ranks:
-        rank_builder = builder.ranks[rank]
-        for peer in ranks:
-            if peer != rank:
-                pending[rank].append(
-                    rank_builder.isend(peer, tag, clock.send(rank), size=size)
-                )
-    for rank in ranks:
-        builder.ranks[rank].waitall(pending[rank], clock.wait())
+    members = [builder.ranks[rank] for rank in ranks]
+    pairs = [[(peer, tag) for peer in ranks if peer != rank] for rank in ranks]
+    _exchange(clock, members, pairs, pairs, size)
 
 
 def manytoone_round(
@@ -188,22 +187,16 @@ def manytoone_round(
     receives — the serialization-hostile case §II-A discusses.
     """
     clock = builder.begin_round()
+    senders = [rb for rb in builder.ranks if rb.rank != root]
+    pairs = [(ANY_SOURCE if wildcard_source else rb.rank, tag) for rb in senders]
     root_builder = builder.ranks[root]
-    reqs = []
-    for peer in range(builder.nprocs):
-        if peer == root:
-            continue
-        if wildcard_source:
-            reqs.append(root_builder.irecv_any(tag, clock.recv(), size=size))
-        else:
-            reqs.append(root_builder.irecv(peer, tag, clock.recv(), size=size))
-    for peer in range(builder.nprocs):
-        if peer != root:
-            builder.ranks[peer].isend(root, tag, clock.send(peer), size=size)
-    root_builder.waitall(reqs, clock.wait())
-    for peer in range(builder.nprocs):
-        if peer != root:
-            builder.ranks[peer].waitall([], clock.wait())
+    reqs = root_builder.emit(clock, OpKind.IRECV, pairs, size)
+    for rb in senders:
+        rb.emit(clock, OpKind.ISEND, ((root, tag),), size)
+    root_stamp, *stamps = clock.stamps(WAIT, builder.nprocs)
+    root_builder.waitall(reqs, root_stamp)
+    for rb, stamp in zip(senders, stamps):
+        rb.waitall([], stamp)
 
 
 def sweep_round(
@@ -219,21 +212,15 @@ def sweep_round(
     fast-path territory."""
     nx, ny = dims
     clock = builder.begin_round()
-    for rank_builder in builder.ranks:
+    active = builder.ranks[: nx * ny]
+    for rank_builder, stamp in zip(active, clock.stamps(WAIT, len(active))):
         rank = rank_builder.rank
-        if rank >= nx * ny:
-            continue
         x, y = rank % nx, rank // nx
-        reqs = []
-        if x > 0:
-            reqs.append(rank_builder.irecv(rank - 1, tag, clock.recv(), size=size))
-        if y > 0:
-            reqs.append(rank_builder.irecv(rank - nx, tag, clock.recv(), size=size))
-        if x < nx - 1:
-            rank_builder.isend(rank + 1, tag, clock.send(rank), size=size)
-        if y < ny - 1:
-            rank_builder.isend(rank + nx, tag, clock.send(rank), size=size)
-        rank_builder.waitall(reqs, clock.wait())
+        upwind = [(rank - 1, tag)] * (x > 0) + [(rank - nx, tag)] * (y > 0)
+        downwind = [(rank + 1, tag)] * (x < nx - 1) + [(rank + nx, tag)] * (y < ny - 1)
+        reqs = rank_builder.emit(clock, OpKind.IRECV, upwind, size)
+        rank_builder.emit(clock, OpKind.ISEND, downwind, size)
+        rank_builder.waitall(reqs, stamp)
 
 
 def ring_round(
@@ -242,11 +229,11 @@ def ring_round(
     """Ring shift: each rank receives from one side, sends to the other."""
     n = builder.nprocs
     clock = builder.begin_round()
-    for rank_builder in builder.ranks:
+    for rank_builder, stamp in zip(builder.ranks, clock.stamps(WAIT, n)):
         rank = rank_builder.rank
-        req = rank_builder.irecv((rank - direction) % n, tag, clock.recv(), size=size)
-        rank_builder.isend((rank + direction) % n, tag, clock.send(rank), size=size)
-        rank_builder.wait(req, clock.wait())
+        (req,) = rank_builder.emit(clock, OpKind.IRECV, (((rank - direction) % n, tag),), size)
+        rank_builder.emit(clock, OpKind.ISEND, (((rank + direction) % n, tag),), size)
+        rank_builder.wait(req, stamp)
 
 
 def irregular_round(
@@ -280,22 +267,10 @@ def irregular_round(
             if rank not in partner_sets[peer]:
                 partner_sets[peer].append(rank)
     tag_of = lambda a, b: (min(a, b) * 31 + max(a, b)) % tag_space  # noqa: E731
-    pending: dict[int, list[int]] = {}
-    for rank in range(n):
-        rank_builder = builder.ranks[rank]
-        reqs = []
-        for peer in partner_sets[rank]:
-            tag = tag_of(rank, peer)
-            if rng.random() < wildcard_fraction:
-                reqs.append(rank_builder.irecv_any(tag, clock.recv(), size=size))
-            else:
-                reqs.append(rank_builder.irecv(peer, tag, clock.recv(), size=size))
-        pending[rank] = reqs
-    for rank in range(n):
-        rank_builder = builder.ranks[rank]
-        for peer in partner_sets[rank]:
-            pending[rank].append(
-                rank_builder.isend(peer, tag_of(rank, peer), clock.send(rank), size=size)
-            )
-    for rank in range(n):
-        builder.ranks[rank].waitall(pending[rank], clock.wait())
+    pairs = [[(peer, tag_of(rank, peer)) for peer in partner_sets[rank]] for rank in range(n)]
+    # One draw per receive, in posting order: ANY_SOURCE or the peer.
+    recv_pairs = [
+        [(ANY_SOURCE if rng.random() < wildcard_fraction else peer, tag) for peer, tag in p]
+        for p in pairs
+    ]
+    _exchange(clock, builder.ranks, recv_pairs, pairs, size)

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.constants import ANY_SOURCE, ANY_TAG
+from repro.net.cluster import cluster_workload
 from repro.traces.model import OpGroup, OpKind
 from repro.traces.synthetic import (
     APPLICATIONS,
+    AppSpec,
     TraceBuilder,
     alltoall_p2p_round,
     app_names,
@@ -66,42 +69,122 @@ def sends_and_recvs(trace):
     return sends, recvs
 
 
+def can_match(recv, send) -> bool:
+    (source, dest, tag), (src, dst, send_tag) = recv, send
+    return (
+        dest == dst
+        and source in (src, ANY_SOURCE)
+        and tag in (send_tag, ANY_TAG)
+    )
+
+
+def unmatched_sends(sends, recvs) -> list:
+    """Sends left over by a maximum matching of sends to distinct
+    receives that can match them (augmenting paths)."""
+    owner: dict[int, int] = {}  # receive index -> send index
+
+    def place(s: int, seen: set) -> bool:
+        for r, recv in enumerate(recvs):
+            if r not in seen and can_match(recv, sends[s]):
+                seen.add(r)
+                if r not in owner or place(owner[r], seen):
+                    owner[r] = s
+                    return True
+        return False
+
+    return [sends[s] for s in range(len(sends)) if not place(s, set())]
+
+
+#: One round of each of the six patterns, wildcard variants included.
+PATTERNS = [
+    lambda b: halo_exchange_round(b, grid_dims(b.nprocs, 2)),
+    lambda b: halo_exchange_round(b, grid_dims(b.nprocs, 3), diagonals=True),
+    lambda b: alltoall_p2p_round(b),
+    lambda b: manytoone_round(b),
+    lambda b: manytoone_round(b, wildcard_source=True),
+    lambda b: sweep_round(b, grid_dims(b.nprocs, 2)),
+    lambda b: ring_round(b),
+    lambda b: irregular_round(b, degree=3, tag_space=4, seed=1),
+    lambda b: halo_exchange_round(b, grid_dims(b.nprocs, 2), fields=3, tag_base=5),
+    lambda b: alltoall_p2p_round(b, group=[1, 4, 6, 11]),
+    lambda b: manytoone_round(b, root=3, wildcard_source=True),
+    lambda b: ring_round(b, direction=-1),
+    lambda b: irregular_round(b, degree=5, tag_space=3, seed=2, wildcard_fraction=0.5),
+]
+
+
 class TestPatternsBalance:
     """Every send must have a matching posted receive: traces that
     violate this would poison the analyzer with phantom unexpecteds."""
 
-    @pytest.mark.parametrize(
-        "emit",
-        [
-            lambda b: halo_exchange_round(b, grid_dims(b.nprocs, 2)),
-            lambda b: halo_exchange_round(b, grid_dims(b.nprocs, 3), diagonals=True),
-            lambda b: alltoall_p2p_round(b),
-            lambda b: manytoone_round(b),
-            lambda b: manytoone_round(b, wildcard_source=True),
-            lambda b: sweep_round(b, grid_dims(b.nprocs, 2)),
-            lambda b: ring_round(b),
-            lambda b: irregular_round(b, degree=3, tag_space=4, seed=1),
-        ],
-    )
+    @pytest.mark.parametrize("emit", PATTERNS)
     def test_sends_match_recvs(self, emit):
         builder = TraceBuilder("pattern", 16)
         emit(builder)
-        trace = builder.build()
-        sends, recvs = sends_and_recvs(trace)
-        concrete = [r for r in recvs if r[0] >= 0]
-        wildcards = [r for r in recvs if r[0] < 0]
-        # Each concrete (src, dst, tag) receive pairs 1:1 with a send.
-        assert sorted(sends) == sorted(concrete) or len(wildcards) > 0
+        sends, recvs = sends_and_recvs(builder.build())
+        assert sends
         assert len(sends) == len(recvs)
+        # Each send pairs with a distinct receive that can match it.
+        assert unmatched_sends(sends, recvs) == []
+
+    def test_unmatched_send_is_found(self):
+        sends = [(0, 1, 5), (2, 1, 5)]
+        assert unmatched_sends(sends, [(ANY_SOURCE, 1, 5), (ANY_SOURCE, 1, 6)]) == [(2, 1, 5)]
+        assert unmatched_sends(sends, [(0, 1, ANY_TAG), (ANY_SOURCE, 1, 5)]) == []
 
     def test_recvs_posted_before_sends(self):
-        builder = TraceBuilder("order", 9)
-        halo_exchange_round(builder, (3, 3))
-        trace = builder.build()
-        for rank_trace in trace.ranks:
-            recv_times = [o.walltime for o in rank_trace.ops if o.kind is OpKind.IRECV]
-            send_times = [o.walltime for o in rank_trace.ops if o.kind is OpKind.ISEND]
-            assert max(recv_times) < min(send_times)
+        """Every pattern, two rounds, per rank and per round: receives,
+        then sends, then the wait, in op order and in walltime (across
+        ranks too); walltimes never decrease."""
+        phase_of = {OpKind.IRECV: 0, OpKind.ISEND: 1, OpKind.WAIT: 2, OpKind.WAITALL: 2}
+        for index, emit in enumerate(PATTERNS):
+            builder = TraceBuilder("order", 16)
+            emit(builder)
+            emit(builder)
+            # round -> phase -> walltimes, over every rank
+            windows: dict[int, dict[int, list[float]]] = {}
+            for rank_trace in builder.build().ranks:
+                times = [op.walltime for op in rank_trace.ops]
+                assert times == sorted(times), (index, rank_trace.rank)
+                last = {}
+                for op in rank_trace.ops:
+                    round_index, phase = int(op.walltime), phase_of[op.kind]
+                    assert phase >= last.get(round_index, 0), (index, rank_trace.rank, op)
+                    last[round_index] = phase
+                    windows.setdefault(round_index, {}).setdefault(phase, []).append(
+                        op.walltime
+                    )
+            assert sorted(windows) == [0, 1], index
+            for round_index, phases in windows.items():
+                for early, late in ((0, 1), (1, 2)):
+                    if early in phases and late in phases:
+                        assert max(phases[early]) < min(phases[late]), (index, round_index)
+
+
+class TestPhaseBound:
+    """A round's receives, sends and waits keep to their windows; an app
+    big enough to overrun one is refused by ``generate``, by name."""
+
+    def test_overrunning_round_is_refused(self, monkeypatch):
+        # 340 x 339 sends run 0.115 past the send phase's start; with the
+        # senders' jitter (up to 0.3) the late ones cross into the waits.
+        spec = AppSpec(
+            "Transpose340", "a 340-rank all-to-all", 340, 340,
+            lambda builder, rounds: alltoall_p2p_round(builder), 339,
+        )
+        monkeypatch.setitem(APPLICATIONS, spec.name, spec)
+        with pytest.raises(ValueError, match=r"Transpose340: round 0 overruns its send phase"):
+            generate(spec.name, rounds=1)
+
+    def test_cluster_workloads_are_not_checked(self):
+        # Cluster drivers replay in program order and never read walltimes.
+        trace = cluster_workload("alltoall", 340, rounds=1)
+        assert trace.total_ops() == 340 * (2 * 339 + 1)
+
+    @pytest.mark.parametrize("name", app_names())
+    def test_every_app_keeps_to_its_windows(self, name):
+        generate(name, rounds=2)
+        generate(name, processes=APPLICATIONS[name].table_processes, rounds=1)
 
 
 class TestRegistry:
