@@ -8,15 +8,18 @@ pattern the introduction singles out). This module builds the directed
 communication graph of a trace (nodes = ranks, edge weights = message
 counts) and derives those structural statistics, connecting each
 application's Fig. 7 queue depth to the topology that produces it.
+networkx is loaded where a graph is built, not when the module is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.traces.model import OpKind, Trace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["CommGraphStats", "build_comm_graph", "graph_stats"]
 
@@ -49,6 +52,7 @@ class CommGraphStats:
 
 def build_comm_graph(trace: Trace) -> nx.DiGraph:
     """Directed graph: edge (s, d) weighted by messages s -> d."""
+    import networkx as nx
     graph = nx.DiGraph()
     graph.add_nodes_from(range(trace.nprocs))
     for rank_trace in trace.ranks:
@@ -63,6 +67,7 @@ def build_comm_graph(trace: Trace) -> nx.DiGraph:
 
 def graph_stats(trace: Trace) -> CommGraphStats:
     """Structural statistics of the trace's communication graph."""
+    import networkx as nx
     graph = build_comm_graph(trace)
     messages = sum(weight for _, _, weight in graph.edges(data="weight"))
     in_degrees = [degree for _, degree in graph.in_degree()]

@@ -8,7 +8,7 @@ closed-form predictions —
 
 * expected fraction of empty bins,
 * expected number of colliding insertions,
-* the expected maximum bin load (via a union-bound quantile),
+* the expected maximum bin load (a union-bound quantile of ``_poisson_tail``),
 
 so the measured Fig. 7 statistics can be checked against theory, not
 just against the paper's numbers. Agreement here is evidence the hash
@@ -18,10 +18,10 @@ function (the property the design assumes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["BinsPrediction", "predict", "compare_with_measurement"]
 
@@ -38,6 +38,23 @@ class BinsPrediction:
     expected_max_load: float
 
 
+def _poisson_tail(m: int, load: float) -> float:
+    """P(Poisson(load) >= m), m >= load, summed here: scipy is no runtime dep.
+    pmf(m), pmf(m+1), ... shrink, so add them until one no longer changes the
+    sum. From m = 1000 Stirling's series gives pmf(m) (lgamma loses ~1e-9)."""
+    if m < 1000:
+        term = math.exp(m * math.log(load) - load - math.lgamma(m + 1))
+    else:
+        term = math.exp(m * math.log(load / m) + m - load - 1 / (12 * m))
+        term /= math.sqrt(2 * math.pi * m)
+    total = 0.0
+    while total + term != total:
+        total += term
+        m += 1
+        term *= load / m
+    return total
+
+
 def predict(keys: int, bins: int) -> BinsPrediction:
     """Poisson-approximation occupancy predictions."""
     if keys < 0 or bins <= 0:
@@ -51,14 +68,12 @@ def predict(keys: int, bins: int) -> BinsPrediction:
     occupied = bins * (1.0 - empty)
     collisions = max(keys - occupied, 0.0)
     # Max load: smallest m with b * P(Poisson(load) >= m) <= 1
-    # (union-bound / first-moment threshold).
+    # (union-bound / first-moment threshold; one bin stops at m = n).
     if keys == 0:
         max_load = 0.0
-    elif bins == 1:
-        max_load = float(keys)
     else:
         m = int(np.ceil(load))
-        while bins * stats.poisson.sf(m - 1, load) > 1.0:
+        while bins * _poisson_tail(m, load) > 1.0:
             m += 1
         max_load = float(m)
     return BinsPrediction(
