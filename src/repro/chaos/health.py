@@ -34,7 +34,7 @@ import json
 import sys
 
 from repro.chaos.harness import ChaosConfig, run_chaos
-from repro.chaos.soak import PROFILES
+from repro.chaos.suites import PROFILES
 from repro.net.cluster import ClusterSim, cluster_workload
 from repro.net.faults import LinkFaultPlan
 from repro.obs.health import HealthMonitor, HealthReport, default_rules
@@ -170,7 +170,7 @@ def _lane_link_flap(seed: int) -> LaneResult:
 
 
 def _lane_rank_kill(seed: int) -> LaneResult:
-    # One fail-stop kill under heartbeats (the ranksoak kill-shrink
+    # One fail-stop kill under heartbeats (the ranks suite's kill-shrink
     # profile); the twin runs the same workload with a clean plan.
     results = []
     for plan in (RankFaultPlan(kills=1, horizon=300, seed=seed), RankFaultPlan()):

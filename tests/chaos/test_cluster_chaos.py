@@ -7,25 +7,27 @@ partition profile must actually exercise recovery (drops observed).
 
 import io
 
-from repro.chaos.cluster import CLUSTER_PROFILES, main as cluster_main, soak
+import repro.chaos.cli as cli
+from repro.chaos.runner import run_suite
+from repro.chaos.suites import CLUSTER_PROFILES, SUITES
 
 
 class TestSoak:
     def test_all_profiles_zero_violations(self):
         out, err = io.StringIO(), io.StringIO()
-        result = soak(schedules=2, ranks=8, rounds=2, out=out, err=err)
+        result = run_suite(SUITES["cluster"], 2, ranks=8, rounds=2, out=out, err=err)
         assert result.ok, err.getvalue()
         assert result.runs == 2 * len(CLUSTER_PROFILES)
-        assert result.violations == 0
+        assert result.totals["violations"] == 0
 
     def test_partition_profile_exercises_recovery(self):
         out = io.StringIO()
-        result = soak(schedules=3, ranks=8, rounds=2, out=out, err=out)
+        result = run_suite(SUITES["cluster"], 3, ranks=8, rounds=2, out=out, err=out)
         assert result.ok, out.getvalue()
         # The partition windows must have actually dropped packets —
         # a soak that never faults proves nothing.
-        assert result.drops > 0
-        assert result.retransmits > 0
+        assert result.totals["drops"] > 0
+        assert result.totals["retransmits"] > 0
 
     def test_profiles_cover_fault_families(self):
         assert CLUSTER_PROFILES["clean"].is_clean
@@ -35,18 +37,19 @@ class TestSoak:
 
 class TestCli:
     def test_main_exits_zero(self, capsys):
-        assert cluster_main(["--schedules", "1", "--rounds", "1"]) == 0
+        assert cli.main(["cluster", "--schedules", "1", "--rounds", "1"]) == 0
         assert "cluster soak:" in capsys.readouterr().out
 
-    def test_chaos_frontdoor_dispatches(self, capsys):
-        from repro.chaos.cli import main as chaos_main
+    def test_chaos_frontdoor_dispatches(self, capsys, monkeypatch):
+        calls = []
 
-        assert chaos_main(["cluster", "--schedules", "1", "--rounds", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "cluster soak:" in captured.out
+        def spy(suite, **kwargs):
+            calls.append((suite, kwargs))
+            return run_suite(suite, **kwargs)
 
-    def test_unknown_subcommand(self, capsys):
-        from repro.chaos.cli import main as chaos_main
-
-        assert chaos_main(["bogus"]) == 2
-        assert "unknown subcommand" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "run_suite", spy)
+        assert cli.main(["cluster", "--schedules", "1", "--rounds", "1"]) == 0
+        assert "cluster soak:" in capsys.readouterr().out
+        [(suite, kwargs)] = calls
+        assert suite is SUITES["cluster"]
+        assert kwargs["schedules"] == 1 and kwargs["rounds"] == 1

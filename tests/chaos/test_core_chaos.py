@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos.coresoak import CORE_PROFILES, MUTANT_PROFILES
 from repro.chaos.harness import (
     ChaosConfig,
     ChaosReport,
@@ -12,6 +11,7 @@ from repro.chaos.harness import (
     config_to_params,
     run_chaos,
 )
+from repro.chaos.suites import CORE_PROFILES, MUTANT_PROFILES
 from repro.recovery import CoreFaultPlan, RecoveryPolicy
 
 MUTANT_SEEDS = range(1, 9)

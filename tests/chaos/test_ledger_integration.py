@@ -14,9 +14,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos.coresoak import MUTANT_PROFILES
 from repro.chaos.harness import ChaosConfig, ChaosReport, run_chaos
-from repro.chaos.soak import PROFILES, soak
+from repro.chaos.runner import run_suite
+from repro.chaos.suites import MUTANT_PROFILES, PROFILES, SUITES
 from repro.fleet.codec import decode_result, encode_result
 from repro.obs.attribution import attribute, check_conservation
 from repro.obs.ledger import FlightRecorder, LedgerDump, MessageRecord
@@ -114,14 +114,15 @@ class TestViolationPassport:
 class TestLedgerPlumbing:
     def test_soak_fills_ledger_sink(self):
         sink: list[LedgerDump] = []
-        runs, failures = soak(
-            ["clean"],
-            range(1, 3),
+        result = run_suite(
+            SUITES["soak"],
+            2,
+            lanes=["clean"],
             out=io.StringIO(),
             err=io.StringIO(),
             ledger_sink=sink,
         )
-        assert failures == 0 and runs == 2
+        assert result.failures == 0 and result.runs == 2
         assert len(sink) == 1  # one representative dump per profile
         assert "clean" in sink[0].scenarios
         assert any(True for _ in sink[0].iter_records())

@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from repro.chaos.soak import PROFILES
-from repro.chaos.soak import main as soak_main
+from repro.chaos.cli import main
+from repro.chaos.suites import PROFILES
 from repro.obs.registry import MetricsSnapshot
 from repro.obs.validate import validate_chrome_trace
 
@@ -19,9 +19,10 @@ def soak_artifacts(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("soak-obs")
     trace_path = tmp / "soak.trace.json"
     metrics_path = tmp / "soak.metrics.json"
-    rc = soak_main(
+    rc = main(
         [
-            "--seeds",
+            "soak",
+            "--schedules",
             "6",
             "--trace-out",
             str(trace_path),

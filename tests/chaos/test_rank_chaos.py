@@ -2,32 +2,30 @@
 
 import io
 
+import repro.chaos.cli as cli
 from repro.chaos.harness import ChaosReport
-from repro.chaos.ranksoak import (
-    MUTANT_PROFILES,
-    RANK_PROFILES,
-    main as ranks_main,
-    rank_soak,
-)
+from repro.chaos.runner import run_suite
+from repro.chaos.suites import RANK_MUTANT_PROFILES, RANK_PROFILES, SUITES
 
 
 class TestSoak:
     def test_real_lanes_hold_and_mutants_are_caught(self):
         out, err = io.StringIO(), io.StringIO()
-        result = rank_soak(schedules=2, out=out, err=err)
+        result = run_suite(SUITES["ranks"], 2, out=out, err=err)
+        totals = result.totals
         assert result.ok, err.getvalue()
-        assert result.runs == 2 * (len(RANK_PROFILES) + len(MUTANT_PROFILES))
-        assert result.false_suspicions == 0
+        assert result.runs == 2 * (len(RANK_PROFILES) + len(RANK_MUTANT_PROFILES))
+        assert totals["false_suspicions"] == 0
         # The fault lanes must actually kill and recover something.
-        assert result.kills > 0
-        assert result.detections > 0
-        assert result.shrinks > 0 and result.restarts > 0
+        assert totals["kills"] > 0
+        assert totals["detected"] > 0
+        assert totals["shrinks"] > 0 and totals["restarts"] > 0
         assert result.mutants_missed == []
 
     def test_mutant_lanes_cover_every_planted_bug(self):
         from repro.resilience.cluster import MUTANTS
 
-        planted = {p["mutant"] for p in MUTANT_PROFILES.values()}
+        planted = {p["mutant"] for p in RANK_MUTANT_PROFILES.values()}
         assert planted == {m for m in MUTANTS if m}
 
     def test_profiles_cover_detection_modes(self):
@@ -38,21 +36,26 @@ class TestSoak:
 
 
 class TestCli:
+    # The front-door spelling of the old --no-mutants: every real lane.
+    REAL_LANES = [f"--lane={name}" for name in RANK_PROFILES]
+
     def test_main_exits_zero(self, capsys):
-        assert ranks_main(["--schedules", "1", "--no-mutants"]) == 0
+        assert cli.main(["ranks", "--schedules", "1", *self.REAL_LANES]) == 0
         assert "rank soak:" in capsys.readouterr().out
 
-    def test_chaos_frontdoor_dispatches(self, capsys):
-        from repro.chaos.cli import main as chaos_main
+    def test_chaos_frontdoor_dispatches(self, capsys, monkeypatch):
+        calls = []
 
-        assert chaos_main(["ranks", "--schedules", "1", "--no-mutants"]) == 0
+        def spy(suite, **kwargs):
+            calls.append((suite, kwargs))
+            return run_suite(suite, **kwargs)
+
+        monkeypatch.setattr(cli, "run_suite", spy)
+        assert cli.main(["ranks", "--schedules", "1", *self.REAL_LANES]) == 0
         assert "rank soak:" in capsys.readouterr().out
-
-    def test_usage_lists_ranks(self, capsys):
-        from repro.chaos.cli import main as chaos_main
-
-        assert chaos_main([]) == 2
-        assert "ranks" in capsys.readouterr().out
+        [(suite, kwargs)] = calls
+        assert suite is SUITES["ranks"]
+        assert kwargs["schedules"] == 1 and kwargs["lanes"] == list(RANK_PROFILES)
 
 
 class TestChaosReportV5:

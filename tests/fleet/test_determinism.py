@@ -13,7 +13,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analyzer.sweep import sweep_applications
-from repro.chaos.soak import iter_soak_jobs
+from repro.chaos.runner import iter_jobs
+from repro.chaos.suites import SUITES
 from repro.fleet import RetryPolicy, run_jobs
 
 #: Small but non-trivial: three apps with different op mixes.
@@ -130,10 +131,10 @@ def test_strict_sweep_raises_on_quarantine(tmp_path):
 
 def test_soak_matrix_parallelism_independent():
     """chaos_run payloads are identical at jobs=1 and jobs=2."""
-    names = ["clean", "drops"]
+    lanes = [SUITES["soak"].lanes[name] for name in ("clean", "drops")]
     seeds = range(1, 3)
-    serial = run_jobs(iter_soak_jobs(names, seeds), jobs=1)
-    parallel = run_jobs(iter_soak_jobs(names, seeds), jobs=2)
+    serial = run_jobs(iter_jobs(lanes, seeds), jobs=1)
+    parallel = run_jobs(iter_jobs(lanes, seeds), jobs=2)
     assert [o.payload for o in serial.outcomes] == [
         o.payload for o in parallel.outcomes
     ]

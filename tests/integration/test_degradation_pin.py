@@ -20,10 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos.coresoak import CORE_PROFILES
 from repro.chaos.harness import run_chaos
-from repro.chaos.overload import OVERLOAD_PROFILES
-from repro.chaos.soak import PROFILES
+from repro.chaos.suites import CORE_PROFILES, OVERLOAD_PROFILES, PROFILES
 from repro.core.config import EngineConfig
 from repro.core.envelope import ANY_SOURCE, ANY_TAG, MessageEnvelope, ReceiveRequest
 from repro.dpa.machine import DpaMachine

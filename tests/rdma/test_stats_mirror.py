@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.chaos.harness import ChaosConfig, run_chaos
-from repro.chaos.soak import PROFILES
+from repro.chaos.suites import PROFILES
 from repro.core.envelope import ANY_SOURCE, ANY_TAG, ReceiveRequest
 from repro.core.stats import EngineStats
 from repro.matching.fallback import FallbackMatcher
