@@ -32,15 +32,15 @@ def test_cache_speedup(benchmark, tmp_path):
         return min(times), result
 
     cold_seconds, cold = best_of(
-        lambda: load_trace(trace_dir, use_cache=False, parallel=False)
+        lambda: load_trace(trace_dir, use_cache=False)
     )
-    load_trace(trace_dir, parallel=False)  # populate the cache
+    load_trace(trace_dir)  # populate the cache
     assert cache_path(trace_dir).exists()
 
-    warm = benchmark(load_trace, trace_dir, parallel=False)
+    warm = benchmark(load_trace, trace_dir)
     assert warm.total_ops() == cold.total_ops()
 
-    warm_seconds, _ = best_of(lambda: load_trace(trace_dir, parallel=False))
+    warm_seconds, _ = best_of(lambda: load_trace(trace_dir))
     print(
         f"\ncold parse: {cold_seconds * 1e3:.1f} ms, "
         f"warm cache: {warm_seconds * 1e3:.1f} ms, "
@@ -58,10 +58,10 @@ def test_parse_vs_cache_vs_analysis(benchmark, tmp_path):
     save_trace(trace, trace_dir)
 
     start = time.perf_counter()
-    loaded = load_trace(trace_dir, parallel=False)  # cold + cache fill
+    loaded = load_trace(trace_dir)  # cold + cache fill
     parse_seconds = time.perf_counter() - start
     start = time.perf_counter()
-    load_trace(trace_dir, parallel=False)  # warm
+    load_trace(trace_dir)  # warm
     cache_seconds = time.perf_counter() - start
 
     def run_analysis():

@@ -8,13 +8,13 @@ DUMPI-text trace directory passed with ``--trace-dir``):
     repro-analyze --table 2
     repro-analyze --app "BoxLib CNS" --bins 1,32,128
     repro-analyze --trace-dir /path/to/dumpi --bins 32
-    repro-analyze sweep --jobs 4 --cache-dir .fleet-cache
+    repro-analyze sweep --cache-dir .fleet-cache
 
-``sweep`` runs the full application x bins grid; with ``--jobs N`` it
-fans out over a :mod:`repro.fleet` worker pool and with
-``--cache-dir`` re-runs only the changed cells (results are
-byte-identical to a serial run either way). The same two flags apply
-to ``--figure 6``/``--figure 7``, which are grid sweeps too.
+``sweep`` runs the full application x bins grid through
+:mod:`repro.fleet`; with ``--cache-dir`` it re-runs only the changed
+cells (a warm rerun is byte-identical to a cold one). ``--cache-dir``
+also applies to ``--figure 6``/``--figure 7``, which are grid sweeps
+too.
 """
 
 from __future__ import annotations
@@ -32,18 +32,9 @@ from repro.analyzer.report import (
 from repro.analyzer.sweep import FIGURE7_BINS, sweep_applications, sweep_trace
 from repro.traces.reader import load_trace
 from repro.traces.synthetic import app_names, generate
+from repro.util.cli import parse_bins, positive
 
 __all__ = ["main"]
-
-
-def _parse_bins(text: str) -> tuple[int, ...]:
-    try:
-        bins = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad bins list {text!r}") from None
-    if not bins or any(b <= 0 for b in bins):
-        raise argparse.ArgumentTypeError("bins must be positive integers")
-    return bins
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "command",
         nargs="?",
         choices=("sweep",),
-        help="sweep: run the application x bins grid (honours --jobs/--cache-dir)",
+        help="sweep: run the application x bins grid (honours --cache-dir)",
     )
     parser.add_argument("--figure", type=int, choices=(6, 7), help="regenerate a figure")
     parser.add_argument("--table", type=int, choices=(2,), help="regenerate a table")
@@ -68,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare two trace directories' matching behaviour",
     )
     parser.add_argument(
-        "--bins", type=_parse_bins, default=FIGURE7_BINS, help="comma-separated bin counts"
+        "--bins", type=parse_bins, default=FIGURE7_BINS, help="comma-separated bin counts"
     )
-    parser.add_argument("--rounds", type=int, default=6, help="synthetic trace rounds")
+    parser.add_argument("--rounds", type=positive, default=6, help="synthetic trace rounds")
     parser.add_argument(
-        "--processes", type=int, default=None, help="override process count for generation"
+        "--processes", type=positive, default=None, help="override process count for generation"
     )
     parser.add_argument("--list", action="store_true", help="list registered applications")
     parser.add_argument(
@@ -81,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the §III-E memory-footprint report: per-application "
         "DPA footprints at each bin count, flagging configurations that "
         "overflow the BF3 L2/L3 caches (FALLBACK past L3)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fleet worker processes for grid sweeps (1 = inline)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -164,8 +149,7 @@ def main(argv: list[str] | None = None) -> int:
                 bins_list=args.bins,
                 rounds=args.rounds,
                 processes=args.processes,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
+                    cache_dir=args.cache_dir,
             )
             if args.app:
                 results = {args.app: results[args.app]}
@@ -176,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
             bins_list=args.bins,
             rounds=args.rounds,
             processes=args.processes,
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
             with_report=True,
         )
@@ -188,7 +171,6 @@ def main(argv: list[str] | None = None) -> int:
             bins_list=(1,),
             rounds=args.rounds,
             processes=args.processes,
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
         )
         analyses = {name: per_bins[1] for name, per_bins in results.items()}
@@ -214,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
             bins_list=args.bins,
             rounds=args.rounds,
             processes=args.processes,
-            jobs=args.jobs,
             cache_dir=args.cache_dir,
         )
         print(format_figure7(results))

@@ -1,14 +1,13 @@
 """Bin-count sweeps over applications (Fig. 7 and the artifact's
 1..256 powers-of-two output layout).
 
-The application grid is embarrassingly parallel — every (app, bins)
-cell is one deterministic :func:`repro.analyzer.processing.analyze`
-run — so :func:`sweep_applications` schedules cells through
-:mod:`repro.fleet`: ``jobs=N`` fans out over a worker pool and
-``cache_dir`` memoizes cells content-addressed, so re-running a sweep
-only executes the changed cells. Results are merged in job order and
-every cell passes through the fleet codec, which makes parallel output
-byte-identical to serial output.
+Every (app, bins) cell of the application grid is one deterministic
+:func:`repro.analyzer.processing.analyze` run, so
+:func:`sweep_applications` runs the cells as :mod:`repro.fleet` jobs:
+``cache_dir`` memoizes them content-addressed, so re-running a sweep
+only executes the changed cells. Results come back in job order and
+every cell passes through the fleet codec, which makes a warm rerun
+byte-identical to a cold one.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.analyzer.statistics import AppAnalysis
-from repro.fleet import FleetReport, JobSpec, RetryPolicy, run_jobs
+from repro.fleet import FleetReport, JobSpec, run_jobs
 from repro.traces.model import Trace
 from repro.traces.synthetic import app_names
 
@@ -73,10 +72,8 @@ def sweep_applications(
     names: list[str] | None = None,
     jobs: int = 1,
     cache_dir: str | None = None,
-    policy: RetryPolicy | None = None,
     registry=None,
     tracer=None,
-    fault_hook=None,
     with_report: bool = False,
     strict: bool = True,
 ):
@@ -86,24 +83,25 @@ def sweep_applications(
     ``results[app][bins]`` — and, with ``with_report=True``, a
     ``(results, FleetReport)`` tuple.
 
-    ``jobs``/``cache_dir`` route the grid through the fleet scheduler;
-    the default (``jobs=1``, no cache) runs the cells inline, through
-    the same codec, so parallel and serial results are byte-identical.
+    ``cache_dir`` answers cells from the fleet's result cache; every
+    cell, fresh or cached, passes through the same codec.
     Quarantined cells raise :class:`repro.fleet.FleetError` under
     ``strict`` (the default); ``strict=False`` instead omits them from
     the results and leaves the diagnosis to the returned report
     (``report.ok`` / ``report.quarantined_ids``), so callers like the
     CLI can render the surviving grid and still exit nonzero.
     """
+    # ``jobs`` accepts only 1. It stays while the wall-clock benchmark's
+    # fig7_sweep workload (benchmarks/wallclock/workloads.py) passes
+    # ``jobs=1``; it goes once that workload stops passing it.
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (the fleet runs inline), got {jobs}")
     names = list(names) if names is not None else app_names()
     run = run_jobs(
         iter_sweep_jobs(names, bins_list, rounds=rounds, processes=processes),
-        jobs=jobs,
         cache_dir=cache_dir,
-        policy=policy,
         registry=registry,
         tracer=tracer,
-        fault_hook=fault_hook,
     )
     if strict:
         run.require_ok()

@@ -5,11 +5,11 @@ Regenerates Figure 8:
     repro-msgrate                      # CI-scale repetitions
     repro-msgrate --repetitions 500    # full paper parameters
     repro-msgrate --scenario wc-fp     # one configuration only
-    repro-msgrate --jobs 4 --cache-dir .fleet-cache
+    repro-msgrate --cache-dir .fleet-cache
 
-With ``--jobs N`` the scenario grid fans out over a
-:mod:`repro.fleet` worker pool; ``--cache-dir`` memoizes per-scenario
-results content-addressed. Output order and bytes match a serial run.
+Each scenario is one :mod:`repro.fleet` job; ``--cache-dir`` memoizes
+per-scenario results content-addressed, and a warm rerun prints the
+same bytes.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.pingpong import (
-    PAPER_K,
-    PingPongBench,
-    RateResult,
-    format_figure8,
-)
-from repro.bench.scenarios import PAPER_IN_FLIGHT, PAPER_THREADS, scenario_by_name
+from repro.bench.pingpong import PAPER_K, RateResult, format_figure8
+from repro.bench.scenarios import PAPER_IN_FLIGHT, PAPER_THREADS
+from repro.fleet import JobSpec, run_jobs
+from repro.util.cli import positive
 
 __all__ = ["main", "iter_bench_jobs"]
 
@@ -37,26 +34,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-msgrate",
         description="Figure 8 message-rate benchmark (ping-pong, §VI)",
     )
-    parser.add_argument("--k", type=int, default=PAPER_K, help="messages per sequence")
+    parser.add_argument("--k", type=positive, default=PAPER_K, help="messages per sequence")
     parser.add_argument(
-        "--repetitions", type=int, default=50, help="sequences per run (paper: 500)"
+        "--repetitions", type=positive, default=50, help="sequences per run (paper: 500)"
     )
     parser.add_argument(
-        "--in-flight", type=int, default=PAPER_IN_FLIGHT, help="posted-receive window"
+        "--in-flight", type=positive, default=PAPER_IN_FLIGHT, help="posted-receive window"
     )
     parser.add_argument(
-        "--threads", type=int, default=PAPER_THREADS, help="DPA block threads"
+        "--threads", type=positive, default=PAPER_THREADS, help="DPA block threads"
     )
     parser.add_argument(
         "--scenario",
         choices=_ALL_SCENARIOS + ("all",),
         default="all",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="fleet worker processes for the scenario grid (1 = inline)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -71,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def iter_bench_jobs(scenarios, *, k, repetitions, in_flight, threads):
     """Lazily enumerate Figure 8 scenarios as fleet jobs (paper order)."""
-    from repro.fleet import JobSpec
-
     for name in scenarios:
         yield JobSpec(
             kind="bench_scenario",
@@ -89,38 +78,19 @@ def iter_bench_jobs(scenarios, *, k, repetitions, in_flight, threads):
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     scenarios = _ALL_SCENARIOS if args.scenario == "all" else (args.scenario,)
-    if args.jobs != 1 or args.cache_dir is not None:
-        from repro.fleet import run_jobs
-
-        run = run_jobs(
-            iter_bench_jobs(
-                scenarios,
-                k=args.k,
-                repetitions=args.repetitions,
-                in_flight=args.in_flight,
-                threads=args.threads,
-            ),
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
-        run.require_ok()
-        results: list[RateResult] = list(run.results())
-        print(f"fleet: {run.report.summary()}", file=sys.stderr)
-    else:
-        bench = PingPongBench(
+    run = run_jobs(
+        iter_bench_jobs(
+            scenarios,
             k=args.k,
             repetitions=args.repetitions,
             in_flight=args.in_flight,
             threads=args.threads,
-        )
-        if args.scenario == "all":
-            results = bench.run_all()
-        elif args.scenario == "mpi-cpu":
-            results = [bench.run_mpi_cpu()]
-        elif args.scenario == "rdma-cpu":
-            results = [bench.run_rdma_cpu()]
-        else:
-            results = [bench.run_optimistic(scenario_by_name(args.scenario))]
+        ),
+        cache_dir=args.cache_dir,
+    )
+    run.require_ok()
+    results: list[RateResult] = run.results()
+    print(f"fleet: {run.report.summary()}", file=sys.stderr)
     print(format_figure8(results))
     if args.plot:
         from repro.util.asciiplot import hbar_chart

@@ -5,9 +5,9 @@ of topologies x placements, each cell a full end-to-end
 :class:`repro.net.cluster.ClusterSim` run — the unchanged rdma stack
 over the simulated fabric — executed through :mod:`repro.fleet` as
 ``cluster_bench`` jobs. The cells are independent deterministic
-simulations, so the sweep fans out across workers and is
-content-addressed: re-running against a warm ``--cache-dir`` executes
-nothing and reproduces the identical report.
+simulations, so the sweep is content-addressed: re-running against a
+warm ``--cache-dir`` executes nothing and reproduces the identical
+report.
 
 Per cell the report keeps the observables placement decisions trade
 against each other: elapsed ticks (makespan), peak link utilization
@@ -30,6 +30,7 @@ import sys
 from pathlib import Path
 
 from repro.net.cluster import ClusterReport
+from repro.util.cli import positive
 
 __all__ = ["SWEEP_GRID", "iter_cluster_jobs", "run_bench", "main"]
 
@@ -93,7 +94,6 @@ def run_bench(
     ranks: int = DEFAULT_RANKS,
     rounds: int = DEFAULT_ROUNDS,
     size: int = DEFAULT_SIZE,
-    jobs: int = 1,
     cache_dir: str | None = None,
 ) -> dict:
     """Run the full grid and return the BENCH_cluster payload."""
@@ -101,7 +101,6 @@ def run_bench(
 
     run = run_jobs(
         iter_cluster_jobs(ranks=ranks, rounds=rounds, size=size),
-        jobs=jobs,
         cache_dir=cache_dir,
     )
     run.require_ok()
@@ -139,10 +138,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="cluster-fabric sweep: apps x topologies x placements"
     )
-    parser.add_argument("--ranks", type=int, default=DEFAULT_RANKS)
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    parser.add_argument("--size", type=int, default=DEFAULT_SIZE)
-    parser.add_argument("--jobs", type=int, default=1, help="fleet worker count")
+    parser.add_argument("--ranks", type=positive, default=DEFAULT_RANKS)
+    parser.add_argument("--rounds", type=positive, default=DEFAULT_ROUNDS)
+    parser.add_argument("--size", type=positive, default=DEFAULT_SIZE)
     parser.add_argument(
         "--cache-dir", default=None, help="content-addressed result cache"
     )
@@ -154,7 +152,6 @@ def main(argv: list[str] | None = None) -> int:
         ranks=args.ranks,
         rounds=args.rounds,
         size=args.size,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
     print(format_table(payload))

@@ -93,11 +93,8 @@ class GateRule:
 #: a small relative tolerance; everything else in the deterministic
 #: suites must reproduce exactly.
 DEFAULT_RULES: tuple[GateRule, ...] = (
-    GateRule("serial_s", "ignore"),
-    GateRule("parallel_s", "ignore"),
+    GateRule("cold_s", "ignore"),
     GateRule("warm_s", "ignore"),
-    GateRule("speedup", "ignore"),
-    GateRule("cpu_count", "ignore"),
     GateRule("jobs", "ignore"),
     GateRule("*_seconds", "ignore"),
     GateRule("*cycles_per_message", "lower", 0.05),

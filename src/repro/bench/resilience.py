@@ -6,8 +6,8 @@ dies at global tick 50, mid-round-1 of an 8-rank halo) is replayed
 across a grid of {heartbeat timeout ladder + backstop-only} x
 {shrink, respawn}, each cell a full deterministic
 :func:`repro.resilience.cluster.run_resilient` run executed through
-:mod:`repro.fleet` as ``rank_chaos`` jobs (fan-out + content-addressed
-caching for free).
+:mod:`repro.fleet` as ``rank_chaos`` jobs (content-addressed caching
+for free).
 
 Per cell the payload keeps the recovery-latency decomposition:
 detection latency (kill -> first suspicion; bounded by ``timeout +
@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 
 from repro.resilience.cluster import ResilienceReport
+from repro.util.cli import positive
 
 __all__ = ["TIMEOUT_LADDER", "RECOVERY_MODES", "iter_resilience_jobs", "run_bench", "main"]
 
@@ -115,7 +116,6 @@ def run_bench(
     ranks: int = DEFAULT_RANKS,
     rounds: int = DEFAULT_ROUNDS,
     size: int = DEFAULT_SIZE,
-    jobs: int = 1,
     cache_dir: str | None = None,
 ) -> dict:
     """Run the full grid and return the BENCH_resilience payload."""
@@ -123,7 +123,6 @@ def run_bench(
 
     run = run_jobs(
         iter_resilience_jobs(ranks=ranks, rounds=rounds, size=size),
-        jobs=jobs,
         cache_dir=cache_dir,
     )
     run.require_ok()
@@ -169,10 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="recovery-latency sweep: detector tuning x repair mode"
     )
-    parser.add_argument("--ranks", type=int, default=DEFAULT_RANKS)
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
-    parser.add_argument("--size", type=int, default=DEFAULT_SIZE)
-    parser.add_argument("--jobs", type=int, default=1, help="fleet worker count")
+    parser.add_argument("--ranks", type=positive, default=DEFAULT_RANKS)
+    parser.add_argument("--rounds", type=positive, default=DEFAULT_ROUNDS)
+    parser.add_argument("--size", type=positive, default=DEFAULT_SIZE)
     parser.add_argument(
         "--cache-dir", default=None, help="content-addressed result cache"
     )
@@ -184,7 +182,6 @@ def main(argv: list[str] | None = None) -> int:
         ranks=args.ranks,
         rounds=args.rounds,
         size=args.size,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
     )
     print(format_table(payload))

@@ -11,7 +11,7 @@ Subcommands::
 
 The first five are rows of :data:`repro.chaos.suites.SUITES` and share
 one parser (``--schedules``, ``--seed-base``, repeatable ``--lane``,
-``--jobs``, ``--cache-dir``, ``-v``, plus each suite's own size,
+``--cache-dir``, ``-v``, plus each suite's own size,
 artifact and ``--assert-*`` flags). Exit 0 when every run and assert
 row holds, 1 otherwise, 2 on bad usage.
 """
@@ -27,6 +27,7 @@ from repro.chaos.suites import SUITES
 from repro.obs.ledger import LedgerDump
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanTracer
+from repro.util.cli import positive
 
 __all__ = ["main"]
 
@@ -47,18 +48,10 @@ _ARTIFACT_HELP = {
 }
 
 
-def _positive(text: str) -> int:
-    """The one check on counts: a soak of zero anything proves nothing."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _parser(suite: Suite) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"repro-chaos {suite.name}", description=suite.help)
     parser.add_argument(
-        "--schedules", type=_positive, default=suite.schedules, help="seeds per lane"
+        "--schedules", type=positive, default=suite.schedules, help="seeds per lane"
     )
     parser.add_argument("--seed-base", type=int, default=1, help="first seed")
     parser.add_argument(
@@ -66,11 +59,8 @@ def _parser(suite: Suite) -> argparse.ArgumentParser:
         help="run only this lane (repeatable; default: all)",
     )
     if suite.sized:
-        parser.add_argument("--ranks", type=_positive)
-        parser.add_argument("--rounds", type=_positive)
-    parser.add_argument(
-        "--jobs", type=_positive, default=1, help="fleet worker processes (1 = inline)"
-    )
+        parser.add_argument("--ranks", type=positive)
+        parser.add_argument("--rounds", type=positive)
     parser.add_argument("--cache-dir", help="content-addressed result cache")
     parser.add_argument("-v", "--verbose", action="store_true")
     for kind in suite.artifacts:

@@ -4,8 +4,9 @@ A :class:`Lane` is a fleet job template plus a verdict on each report;
 a :class:`Suite` is a row of lanes with a tally, a totals line and
 assert rows (the table is :data:`repro.chaos.suites.SUITES`).
 :func:`run_suite` is the one outcome loop behind every
-``repro-chaos <suite>``. It merges fleet outcomes in enumeration order,
-so ``--jobs`` never changes a byte of output, metrics or traced seed.
+``repro-chaos <suite>``. It reads fleet outcomes in enumeration order,
+so a warm ``--cache-dir`` never changes a byte of output, metrics or
+traced seed.
 """
 
 from __future__ import annotations
@@ -126,9 +127,8 @@ def iter_jobs(
     """Lazily enumerate the lanes x seeds matrix as fleet jobs.
 
     A generator on purpose: a long soak never materializes its grid —
-    the scheduler pulls jobs as worker slots free up. Lane-major,
-    seed-minor order fixes job indices (and so the merge order of
-    parallel runs). ``ranks`` / ``rounds`` override the template's.
+    the fleet pulls one job at a time. Lane-major, seed-minor order
+    fixes job indices. ``ranks`` / ``rounds`` override the template's.
     """
     sizes = {"ranks": ranks, "rounds": rounds}
     for lane in lanes:
@@ -232,7 +232,6 @@ def run_suite(
     lanes: Collection[str] | None = None,
     ranks: int | None = None,
     rounds: int | None = None,
-    jobs: int = 1,
     cache_dir: str | None = None,
     registry: MetricsRegistry | None = None,
     tracer: SpanTracer | None = None,
@@ -256,9 +255,7 @@ def run_suite(
         totals=dict.fromkeys([*suite.sums, *suite.peaks], 0),
         mutants_caught={lane.name: 0 for lane in selected if lane.mutant},
     )
-    fleet = run_jobs(
-        iter_jobs(selected, seeds, ranks=ranks, rounds=rounds), jobs=jobs, cache_dir=cache_dir
-    )
+    fleet = run_jobs(iter_jobs(selected, seeds, ranks=ranks, rounds=rounds), cache_dir=cache_dir)
     reports: dict[str, list] = {lane.name: [] for lane in selected}
 
     def fail(lane: Lane, seed: int, reason: str) -> None:

@@ -10,9 +10,9 @@ Layout: ``<root>/<digest[:2]>/<digest>.json``, one envelope per entry::
 The digest already encodes the job spec *and* the code-version salt
 (:meth:`repro.fleet.job.JobSpec.digest`), so a lookup is a single
 ``open``. Writes are atomic (temp file + ``os.replace``) so a killed
-worker or a concurrent sweep can never leave a half-written entry that
-poisons later runs; unreadable or schema-mismatched entries degrade to
-cache misses.
+sweep, or two sharing a directory, can never leave a half-written
+entry that poisons later runs; unreadable or schema-mismatched entries
+degrade to cache misses.
 """
 
 from __future__ import annotations

@@ -1,75 +1,72 @@
 """Command-line entry point: ``repro-fleet``.
 
-    repro-fleet sweep --jobs 4 --cache-dir .fleet-cache
+    repro-fleet sweep --cache-dir .fleet-cache
     repro-fleet sweep --apps Nekbone,AMG --bins 1,32 --report-out r.json
-    repro-fleet cache --cache-dir .fleet-cache --stats
-    repro-fleet bench --jobs 4 --out BENCH_fleet.json
+    repro-fleet cache --cache-dir .fleet-cache
+    repro-fleet bench --out BENCH_fleet.json
 
-``sweep`` runs the Figure 7 application grid through the fleet
-scheduler; ``cache`` inspects or clears a result cache; ``bench``
-measures serial-vs-parallel wall clock and warm-cache behaviour and
-writes ``BENCH_fleet.json`` (the CI smoke job asserts on it).
+``sweep`` runs the Figure 7 application grid through the fleet;
+``cache`` inspects or clears a result cache; ``bench`` times the grid
+cold and against a warm cache, checks the two agree byte for byte,
+and writes ``BENCH_fleet.json`` (the CI smoke job asserts on it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
 from collections import Counter
 from pathlib import Path
 
+from repro.util.cli import parse_bins, positive
+
 __all__ = ["main"]
-
-
-def _parse_bins(text: str) -> tuple[int, ...]:
-    try:
-        bins = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad bins list {text!r}") from None
-    if not bins or any(b <= 0 for b in bins):
-        raise argparse.ArgumentTypeError("bins must be positive integers")
-    return bins
 
 
 def _parse_apps(text: str) -> list[str] | None:
     if text == "all":
         return None
-    return [part.strip() for part in text.split(",") if part.strip()]
+    from repro.traces.synthetic import app_names
+
+    names = [part.strip() for part in text.split(",") if part.strip()]
+    unknown = [name for name in names if name not in app_names()]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown apps {unknown}; known: {', '.join(app_names())}"
+        )
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-fleet",
-        description="parallel experiment execution with result caching",
+        description="cached experiment execution",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run the application x bins analysis grid")
     sweep.add_argument("--apps", type=_parse_apps, default=None, help="comma list or 'all'")
-    sweep.add_argument("--bins", type=_parse_bins, default=(1, 32, 128))
-    sweep.add_argument("--rounds", type=int, default=6)
-    sweep.add_argument("--processes", type=int, default=None)
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument("--bins", type=parse_bins, default=(1, 32, 128))
+    sweep.add_argument("--rounds", type=positive, default=6)
+    sweep.add_argument("--processes", type=positive, default=None)
     sweep.add_argument("--cache-dir", default=None, help="content-addressed result cache")
     sweep.add_argument("--report-out", metavar="PATH", help="write the fleet report JSON")
     sweep.add_argument("--metrics-out", metavar="PATH", help="write an obs metrics snapshot")
     sweep.add_argument(
-        "--trace-out", metavar="PATH", help="write a Chrome trace of the schedule"
+        "--trace-out", metavar="PATH", help="write a Chrome trace of the jobs"
     )
 
     cache = sub.add_parser("cache", help="inspect or clear a result cache")
     cache.add_argument("--cache-dir", required=True)
     cache.add_argument("--clear", action="store_true", help="delete every entry")
 
-    bench = sub.add_parser("bench", help="serial-vs-parallel speedup + warm-cache check")
-    bench.add_argument("--jobs", type=int, default=4)
+    bench = sub.add_parser("bench", help="cold vs warm cache timing + byte identity")
     bench.add_argument("--apps", type=_parse_apps, default=None)
-    bench.add_argument("--bins", type=_parse_bins, default=(1, 32, 128))
-    bench.add_argument("--rounds", type=int, default=8)
+    bench.add_argument("--bins", type=parse_bins, default=(1, 32, 128))
+    bench.add_argument("--rounds", type=positive, default=8)
     bench.add_argument("--out", metavar="PATH", default="BENCH_fleet.json")
     bench.add_argument(
         "--assert-warm-all-hits",
@@ -79,13 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--assert-identical",
         action="store_true",
-        help="exit nonzero unless parallel results byte-match serial",
-    )
-    bench.add_argument(
-        "--assert-min-speedup",
-        type=float,
-        default=None,
-        help="exit nonzero below this serial/parallel wall-clock ratio",
+        help="exit nonzero unless warm results byte-match cold",
     )
     return parser
 
@@ -108,7 +99,6 @@ def _cmd_sweep(args) -> int:
         processes=args.processes,
         rounds=args.rounds,
         names=args.apps,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         registry=registry,
         tracer=tracer,
@@ -162,9 +152,7 @@ def _cmd_bench(args) -> int:
     from repro.traces.synthetic import app_names
 
     names = args.apps if args.apps is not None else app_names()
-    grid = dict(
-        bins_list=args.bins, rounds=args.rounds, names=names, with_report=True
-    )
+    grid = dict(bins_list=args.bins, rounds=args.rounds, names=names, with_report=True)
 
     def flatten(results) -> str:
         return "".join(
@@ -173,47 +161,33 @@ def _cmd_bench(args) -> int:
             for bins in sorted(results[name])
         )
 
-    t0 = time.perf_counter()
-    serial_results, serial_report = sweep_applications(jobs=1, **grid)
-    serial_s = time.perf_counter() - t0
-
     with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as cache_dir:
         t0 = time.perf_counter()
-        parallel_results, parallel_report = sweep_applications(
-            jobs=args.jobs, cache_dir=cache_dir, **grid
-        )
-        parallel_s = time.perf_counter() - t0
+        cold_results, cold_report = sweep_applications(cache_dir=cache_dir, **grid)
+        cold_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        _warm_results, warm_report = sweep_applications(
-            jobs=args.jobs, cache_dir=cache_dir, **grid
-        )
+        warm_results, warm_report = sweep_applications(cache_dir=cache_dir, **grid)
         warm_s = time.perf_counter() - t0
 
-    identical = flatten(serial_results) == flatten(parallel_results)
-    speedup = serial_s / parallel_s if parallel_s > 0 else 0.0
+    identical = flatten(cold_results) == flatten(warm_results)
     payload = {
-        "schema": "repro.fleet.bench/v1",
+        "schema": "repro.fleet.bench/v2",
         "grid": {
             "apps": len(names),
             "bins": list(args.bins),
             "rounds": args.rounds,
-            "cells": serial_report.total,
+            "cells": cold_report.total,
         },
-        "jobs": args.jobs,
-        "cpu_count": os.cpu_count(),
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup": round(speedup, 3),
+        "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
         "warm_executed": warm_report.executed,
         "warm_cached": warm_report.cached,
-        "parallel_identical_to_serial": identical,
+        "warm_identical_to_cold": identical,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(
-        f"fleet bench: {serial_report.total} cells, serial {serial_s:.2f}s, "
-        f"parallel({args.jobs}) {parallel_s:.2f}s ({speedup:.2f}x), "
+        f"fleet bench: {cold_report.total} cells, cold {cold_s:.2f}s, "
         f"warm {warm_s:.2f}s ({warm_report.cached} cached / "
         f"{warm_report.executed} executed)"
     )
@@ -222,11 +196,7 @@ def _cmd_bench(args) -> int:
     if args.assert_warm_all_hits and warm_report.executed != 0:
         failures.append(f"warm run executed {warm_report.executed} jobs (expected 0)")
     if args.assert_identical and not identical:
-        failures.append("parallel results differ from serial")
-    if args.assert_min_speedup is not None and speedup < args.assert_min_speedup:
-        failures.append(
-            f"speedup {speedup:.2f}x below required {args.assert_min_speedup:.2f}x"
-        )
+        failures.append("warm results differ from cold")
     for failure in failures:
         print(f"ASSERTION FAILED: {failure}", file=sys.stderr)
     return 1 if failures else 0

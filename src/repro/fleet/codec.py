@@ -1,10 +1,10 @@
 """Result codec: every job result is the image of one JSON payload.
 
 The scheduler never hands a driver a "raw" result object — whether a
-job ran inline, in a worker process, or was answered from the cache,
-its result is encoded to a JSON payload and decoded back. That single
-invariant is what makes caching transparent and parallel runs
-byte-identical to serial ones: there is exactly one representation.
+job just ran or was answered from the cache, its result is encoded to
+a JSON payload and decoded back. That single invariant is what makes
+caching transparent and warm reruns byte-identical to cold ones: there
+is exactly one representation.
 
 Result classes participate by exposing ``to_dict``/``from_dict`` (and
 ``to_json``/``from_json`` with an explicit ``schema`` version field —

@@ -1,6 +1,6 @@
 """The job-kind registry: name -> (callable, code version).
 
-A *kind* is a deterministic simulation entry point a worker can run
+A *kind* is a deterministic simulation entry point the fleet can run
 from a pure-literal spec. Each kind carries a version string that is
 folded into the cache digest — bump it when the producing code changes
 semantics, and stale cached results stop matching.
@@ -55,7 +55,7 @@ def register_kind(name: str, fn: KindFn, *, version: str = "1") -> None:
 #: ``_analyze_app``'s last prepared trace, as ``(key, prepared)``. The
 #: sweep grid is app-major, so consecutive jobs ask for one trace at
 #: different bin counts; a single entry serves them all and bounds what
-#: a worker keeps alive to one trace.
+#: a sweep keeps alive to one trace.
 _last_prepared: tuple[tuple, Any] | None = None
 
 

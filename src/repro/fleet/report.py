@@ -1,8 +1,8 @@
-"""The fleet run report: scheduler accounting with a stable JSON form.
+"""The fleet run report: job accounting with a stable JSON form.
 
-One :class:`FleetReport` summarizes one scheduler run — how many jobs
-executed, answered from cache, or were quarantined, plus retry /
-timeout / worker-restart counters and per-job records. The JSON form
+One :class:`FleetReport` summarizes one :func:`repro.fleet.run_jobs`
+run — how many jobs executed, were answered from cache, or were
+quarantined, plus per-job records. The JSON form
 carries a schema version so downstream tooling (CI assertions,
 ``BENCH_fleet.json``) can reject layouts it does not understand.
 """
@@ -15,16 +15,15 @@ from typing import Any, Mapping
 
 __all__ = ["REPORT_SCHEMA", "FleetReport"]
 
-REPORT_SCHEMA = "repro.fleet.report/v1"
+REPORT_SCHEMA = "repro.fleet.report/v2"
 
 
 @dataclass(slots=True)
 class FleetReport:
-    """Aggregated outcome of one :class:`FleetScheduler` run."""
+    """Aggregated outcome of one :func:`repro.fleet.run_jobs` run."""
 
     SCHEMA = REPORT_SCHEMA
 
-    jobs: int = 1
     total: int = 0
     executed: int = 0
     cached: int = 0
@@ -33,14 +32,10 @@ class FleetReport:
     #: in job order — so a sweep's exit status is attributable from the
     #: report alone, without digging through per-job records.
     quarantined_ids: list[str] = field(default_factory=list)
-    retries: int = 0
-    timeouts: int = 0
-    worker_restarts: int = 0
     wall_s: float = 0.0
     #: Cache accounting for this run (hits/misses/writes), if caching.
     cache: dict[str, int] | None = None
-    #: Per-job records: index, kind, digest, status, attempts,
-    #: latency_s, error.
+    #: Per-job records: index, kind, digest, status, latency_s, error.
     records: list[dict] = field(default_factory=list)
 
     @classmethod
@@ -48,11 +43,7 @@ class FleetReport:
         cls,
         outcomes,
         *,
-        jobs: int,
         wall_s: float,
-        retries: int,
-        timeouts: int,
-        worker_restarts: int,
         cache_stats: Mapping[str, int] | None = None,
     ) -> "FleetReport":
         records = [
@@ -61,14 +52,12 @@ class FleetReport:
                 "kind": outcome.spec.kind,
                 "digest": outcome.digest,
                 "status": outcome.status,
-                "attempts": outcome.attempts,
                 "latency_s": outcome.latency_s,
                 "error": outcome.error,
             }
             for outcome in outcomes
         ]
         return cls(
-            jobs=jobs,
             total=len(records),
             executed=sum(1 for r in records if r["status"] == "ok"),
             cached=sum(1 for r in records if r["status"] == "cached"),
@@ -78,9 +67,6 @@ class FleetReport:
                 for o in outcomes
                 if o.status == "quarantined"
             ],
-            retries=retries,
-            timeouts=timeouts,
-            worker_restarts=worker_restarts,
             wall_s=wall_s,
             cache=dict(cache_stats) if cache_stats is not None else None,
             records=records,
@@ -100,10 +86,6 @@ class FleetReport:
             shown = ", ".join(self.quarantined_ids[:3])
             more = ", ..." if self.quarantined > 3 else ""
             parts.append(f"{self.quarantined} quarantined [{shown}{more}]")
-        if self.retries:
-            parts.append(f"{self.retries} retries")
-        if self.worker_restarts:
-            parts.append(f"{self.worker_restarts} worker restarts")
         parts.append(f"{self.wall_s:.2f}s")
         return ", ".join(parts)
 
@@ -111,15 +93,11 @@ class FleetReport:
 
     def to_dict(self) -> dict:
         return {
-            "jobs": self.jobs,
             "total": self.total,
             "executed": self.executed,
             "cached": self.cached,
             "quarantined": self.quarantined,
             "quarantined_ids": list(self.quarantined_ids),
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "worker_restarts": self.worker_restarts,
             "wall_s": self.wall_s,
             "cache": self.cache,
             "records": list(self.records),

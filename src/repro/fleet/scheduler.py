@@ -1,38 +1,24 @@
-"""Fault-tolerant scheduling of job streams over a spawn worker pool.
+"""The fleet's one loop: each job is answered from the cache or run inline.
 
-The scheduler consumes a *lazy* stream of :class:`JobSpec`s (a
-generator is fine — a 220-schedule soak never materializes its grid),
-keeps a bounded submission window over a ``ProcessPoolExecutor`` so
-workers stay busy without unbounded queueing, and merges results in
-job-index order. Three failure modes are survived:
+:func:`run_jobs` consumes a *lazy* stream of :class:`JobSpec`s (a
+generator is fine — a 220-schedule soak never materializes its grid)
+in stream order. A job the cache can answer is ``cached``; any other
+runs here, through :func:`repro.fleet.worker.run_spec`, and is ``ok``
+and written to the cache, or, if it raises, ``quarantined`` once with
+``Type: message`` and never cached. Every result — fresh or cached —
+is decoded from its :mod:`repro.fleet.codec` payload, so a warm rerun
+is byte-identical to a cold one.
 
-* **Worker crash** — a dead worker breaks the pool
-  (``BrokenProcessPool``); the pool is rebuilt and the affected jobs
-  retried with exponential backoff (the shape of
-  :class:`repro.rdma.reliability.ReliabilityConfig`: base delay x
-  ``backoff^attempt``, capped).
-* **Hung worker** — a job exceeding ``RetryPolicy.timeout_s`` gets its
-  pool terminated and rebuilt; the hung job is charged an attempt,
-  innocent in-flight jobs are requeued.
-* **Poisoned job** — a job that keeps failing is *quarantined* into
-  the report after ``max_attempts``; the sweep continues.
-
-Every result — inline, pooled, or cached — passes through the
-:mod:`repro.fleet.codec` round-trip, so ``jobs=1`` and ``jobs=N``
-produce byte-identical reports (simulated clocks inside the jobs are
-untouched; only wall-clock scheduling differs).
+The grids are independent deterministic cells, but a spawn pool never
+paid for itself here: every caller measured 0.56–0.94× at two workers
+on two cores. What pays is the content-addressed cache.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from multiprocessing import get_context
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 from repro.fleet import worker
 from repro.fleet.cache import ResultCache
@@ -41,62 +27,14 @@ from repro.fleet.job import JobSpec
 from repro.fleet.kinds import kind_salt
 from repro.fleet.report import FleetReport
 
-__all__ = [
-    "FleetError",
-    "FleetRun",
-    "FleetScheduler",
-    "JobOutcome",
-    "RetryPolicy",
-    "run_jobs",
-]
+__all__ = ["FleetError", "FleetRun", "JobOutcome", "run_jobs"]
 
-#: Wait-loop tick while futures are outstanding (seconds).
-_TICK_S = 0.05
 #: Histogram bounds for per-job latency (seconds).
 _LATENCY_BUCKETS = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 120.0)
 
 
 class FleetError(RuntimeError):
     """A run finished with quarantined jobs the caller required."""
-
-
-@dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """Bounded retries with exponential backoff.
-
-    Mirrors the reliability layer's recovery shape
-    (:class:`repro.rdma.reliability.ReliabilityConfig`): a base delay
-    multiplied by ``backoff`` per consecutive failure, capped, with a
-    hard attempt budget instead of a hard retry budget.
-    """
-
-    #: Total attempts per job (1 = no retries).
-    max_attempts: int = 3
-    #: Delay before the first retry (wall seconds).
-    base_delay_s: float = 0.05
-    #: Delay multiplier per consecutive failure.
-    backoff: float = 2.0
-    #: Ceiling on the backed-off delay.
-    max_delay_s: float = 2.0
-    #: Per-job wall-clock budget before a worker counts as hung
-    #: (None = never time out).
-    timeout_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
-            raise ValueError("delays must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-
-    def delay_for(self, failures: int) -> float:
-        """Backoff delay after ``failures`` consecutive failures."""
-        if failures <= 0:
-            return 0.0
-        return min(self.base_delay_s * self.backoff ** (failures - 1), self.max_delay_s)
 
 
 @dataclass(slots=True)
@@ -107,7 +45,6 @@ class JobOutcome:
     spec: JobSpec
     digest: str
     status: str  # "ok" | "cached" | "quarantined"
-    attempts: int = 0
     latency_s: float = 0.0
     error: str = ""
     result: Any = None
@@ -119,25 +56,8 @@ class JobOutcome:
 
 
 @dataclass(slots=True)
-class _Job:
-    index: int
-    spec: JobSpec
-    digest: str
-    payload: dict
-    attempts: int = 0
-    ready_at: float = 0.0
-    submitted_at: float = 0.0
-    lane: int = 0
-    last_error: str = ""
-    #: A pool break implicated this job; it must re-run in isolation
-    #: (its own single-worker pool) so a repeat crash is attributed to
-    #: it alone and innocent neighbours are never quarantined.
-    suspect: bool = False
-
-
-@dataclass(slots=True)
 class FleetRun:
-    """Everything one scheduler run produced, in job-index order."""
+    """Everything one run produced, in job-index order."""
 
     outcomes: list[JobOutcome]
     report: FleetReport
@@ -156,426 +76,67 @@ class FleetRun:
         return self
 
 
-class FleetScheduler:
-    """Run job streams across a pool, a cache, and the obs layer."""
-
-    def __init__(
-        self,
-        *,
-        jobs: int = 1,
-        cache: ResultCache | None = None,
-        policy: RetryPolicy | None = None,
-        registry=None,
-        tracer=None,
-        requires: tuple[str, ...] = (),
-        fault_hook: Callable[[int, JobSpec], Mapping[str, Any] | None] | None = None,
-        salt: Callable[[str], str] = kind_salt,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.cache = cache
-        self.policy = policy or RetryPolicy()
-        self.registry = registry
-        self.tracer = tracer
-        self.requires = tuple(requires)
-        #: Test instrumentation: (index, spec) -> faults dict merged
-        #: into the worker payload (never into the spec or cache key).
-        self.fault_hook = fault_hook
-        self._salt = salt
-        # Run counters (also exported through the registry).
-        self.retries = 0
-        self.timeouts = 0
-        self.worker_restarts = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._t0 = 0.0
-        self._free_lanes: list[int] = []
-
-    # -- obs helpers ----------------------------------------------------
-
-    def _count(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        if self.registry is None:
-            return
-        counter = self.registry.counter(f"fleet.{name}")
-        if labels:
-            counter = counter.labels(**labels)
-        counter.inc(amount)
-
-    def _observe_latency(self, seconds: float) -> None:
-        if self.registry is None:
-            return
-        self.registry.histogram(
-            "fleet.job_seconds",
-            "per-job wall-clock latency",
-            buckets=_LATENCY_BUCKETS,
-        ).observe(seconds)
-
-    def _span(self, job: _Job, outcome: JobOutcome, start_s: float, dur_s: float) -> None:
-        if self.tracer is None or not self.tracer.enabled:
-            return
-        track = self.tracer.track("fleet", f"worker-{job.lane}")
-        self.tracer.complete(
-            track,
-            f"{job.spec.kind}#{job.index}",
-            start_s * 1e6,
-            dur_s * 1e6,
-            cat="fleet",
-            args={
-                "status": outcome.status,
-                "attempts": outcome.attempts,
-                "digest": job.digest[:12],
-            },
-        )
-
-    # -- job plumbing ---------------------------------------------------
-
-    def _make_job(self, index: int, spec: JobSpec) -> _Job:
-        digest = spec.digest(self._salt(spec.kind))
-        faults = self.fault_hook(index, spec) if self.fault_hook else None
-        payload = worker.make_payload(spec, requires=self.requires, faults=faults)
-        return _Job(index=index, spec=spec, digest=digest, payload=payload)
-
-    def _from_cache(self, job: _Job) -> JobOutcome | None:
-        if self.cache is None:
-            return None
-        payload = self.cache.get(job.digest)
-        if payload is None:
-            self._count("cache_misses")
-            return None
-        self._count("cache_hits")
-        self._count("jobs", status="cached")
-        now = time.monotonic() - self._t0
-        outcome = JobOutcome(
-            index=job.index,
-            spec=job.spec,
-            digest=job.digest,
-            status="cached",
-            attempts=0,
-            latency_s=0.0,
-            result=decode_result(payload),
-            payload=payload,
-        )
-        self._span(job, outcome, now, 0.0)
-        return outcome
-
-    def _complete(self, job: _Job, payload: dict) -> JobOutcome:
-        latency = time.monotonic() - self._t0 - job.submitted_at
-        if self.cache is not None:
-            self.cache.put(job.digest, job.spec, payload)
-        outcome = JobOutcome(
-            index=job.index,
-            spec=job.spec,
-            digest=job.digest,
-            status="ok",
-            attempts=job.attempts,
-            latency_s=latency,
-            result=decode_result(payload),
-            payload=payload,
-        )
-        self._count("jobs", status="ok")
-        self._observe_latency(latency)
-        self._span(job, outcome, job.submitted_at, latency)
-        return outcome
-
-    def _quarantine(self, job: _Job) -> JobOutcome:
-        outcome = JobOutcome(
-            index=job.index,
-            spec=job.spec,
-            digest=job.digest,
-            status="quarantined",
-            attempts=job.attempts,
-            error=job.last_error,
-        )
-        self._count("jobs", status="quarantined")
-        now = time.monotonic() - self._t0
-        self._span(job, outcome, now, 0.0)
-        return outcome
-
-    def _register_failure(self, job: _Job, error: str) -> JobOutcome | None:
-        """Charge a failed attempt; the outcome if the job is exhausted."""
-        job.attempts += 1
-        job.last_error = error
-        if job.attempts >= self.policy.max_attempts:
-            return self._quarantine(job)
-        self.retries += 1
-        self._count("retries")
-        job.ready_at = (
-            time.monotonic() - self._t0 + self.policy.delay_for(job.attempts)
-        )
-        return None
-
-    # -- serial path ----------------------------------------------------
-
-    def _run_serial(self, stream: Iterator[_Job]) -> list[JobOutcome]:
-        outcomes: list[JobOutcome] = []
-        for job in stream:
-            cached = self._from_cache(job)
-            if cached is not None:
-                outcomes.append(cached)
-                continue
-            job.lane = 0
-            while True:
-                wait_s = job.ready_at - (time.monotonic() - self._t0)
-                if wait_s > 0:
-                    time.sleep(wait_s)
-                job.submitted_at = time.monotonic() - self._t0
-                try:
-                    payload = worker.execute_payload(job.payload)
-                except Exception as exc:  # noqa: BLE001 - quarantine semantics
-                    exhausted = self._register_failure(
-                        job, f"{type(exc).__name__}: {exc}"
-                    )
-                    if exhausted is not None:
-                        outcomes.append(exhausted)
-                        break
-                    continue
-                job.attempts += 1
-                outcomes.append(self._complete(job, payload))
-                break
-        return outcomes
-
-    # -- parallel path --------------------------------------------------
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.jobs,
-            mp_context=get_context("spawn"),
-            initializer=worker.init_worker,
-        )
-
-    def _teardown_pool(self, *, kill: bool) -> None:
-        if self._pool is None:
-            return
-        if kill:
-            processes = getattr(self._pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - best effort
-                    pass
-        self._pool.shutdown(wait=not kill, cancel_futures=True)
-        self._pool = None
-
-    def _restart_pool(self) -> None:
-        self._teardown_pool(kill=True)
-        self.worker_restarts += 1
-        self._count("worker_restarts")
-        self._pool = self._new_pool()
-
-    def _submit(self, job: _Job) -> Future:
-        assert self._pool is not None
-        job.submitted_at = time.monotonic() - self._t0
-        job.lane = self._free_lanes.pop() if self._free_lanes else 0
-        return self._pool.submit(worker.execute_payload, job.payload)
-
-    def _run_isolated(self, job: _Job) -> JobOutcome | None:
-        """Re-run one crash suspect alone in a fresh one-worker pool.
-
-        A crash or hang here is unambiguously this job's fault and is
-        charged as a failed attempt; success clears the suspicion.
-        Returns the terminal outcome, or None when the job earned
-        another (backed-off) retry.
-        """
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            mp_context=get_context("spawn"),
-            initializer=worker.init_worker,
-        )
-        job.submitted_at = time.monotonic() - self._t0
+def _run_one(index: int, spec: JobSpec, cache: ResultCache | None) -> JobOutcome:
+    """One job: answered from ``cache``, else run; quarantined if it raises."""
+    digest = spec.digest(kind_salt(spec.kind))
+    outcome = JobOutcome(index=index, spec=spec, digest=digest, status="cached")
+    payload = cache.get(digest) if cache is not None else None
+    if payload is None:
+        start = time.monotonic()
         try:
-            future = pool.submit(worker.execute_payload, job.payload)
-            payload = future.result(timeout=self.policy.timeout_s)
+            payload = worker.run_spec(spec)
         except Exception as exc:  # noqa: BLE001 - quarantine semantics
-            if isinstance(exc, (TimeoutError, _FuturesTimeout)):
-                self.timeouts += 1
-                self._count("timeouts")
-                message = f"TimeoutError: exceeded {self.policy.timeout_s}s (isolated)"
-            else:
-                message = f"{type(exc).__name__}: {exc}"
-            processes = getattr(pool, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:  # pragma: no cover - best effort
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-            return self._register_failure(job, message)
-        pool.shutdown(wait=True)
-        job.attempts += 1
-        job.suspect = False
-        return self._complete(job, payload)
-
-    def _run_parallel(self, stream: Iterator[_Job]) -> list[JobOutcome]:
-        outcomes: list[JobOutcome] = []
-        window = self.jobs * 2
-        pending: deque[_Job] = deque()  # retries + requeues, FIFO
-        inflight: dict[Future, _Job] = {}
-        self._free_lanes = list(range(window, -1, -1))
-        exhausted = False
-        self._pool = self._new_pool()
-        try:
-            while True:
-                now = time.monotonic() - self._t0
-                # Fill the window: ready retries first, then new jobs.
-                while len(inflight) < window:
-                    job = None
-                    if pending and pending[0].ready_at <= now:
-                        job = pending.popleft()
-                    elif not exhausted:
-                        nxt = next(stream, None)
-                        if nxt is None:
-                            exhausted = True
-                            continue
-                        cached = self._from_cache(nxt)
-                        if cached is not None:
-                            outcomes.append(cached)
-                            continue
-                        job = nxt
-                    if job is None:
-                        break
-                    if job.suspect:
-                        outcome = self._run_isolated(job)
-                        if outcome is not None:
-                            outcomes.append(outcome)
-                        else:
-                            pending.append(job)
-                        continue
-                    try:
-                        inflight[self._submit(job)] = job
-                    except BrokenProcessPool:
-                        pending.appendleft(job)
-                        self._restart_pool()
-                if not inflight and not pending and exhausted:
-                    break
-                if not inflight:
-                    # Only backoff delays outstanding: sleep to the nearest.
-                    next_ready = min(job.ready_at for job in pending)
-                    delay = next_ready - (time.monotonic() - self._t0)
-                    if delay > 0:
-                        time.sleep(min(delay, self.policy.max_delay_s))
-                    continue
-                done, _ = wait(inflight, timeout=_TICK_S, return_when=FIRST_COMPLETED)
-                broken = False
-                for future in done:
-                    job = inflight.pop(future)
-                    self._free_lanes.append(job.lane)
-                    error = future.exception()
-                    if error is None:
-                        job.attempts += 1
-                        outcomes.append(self._complete(job, future.result()))
-                        continue
-                    if isinstance(error, BrokenProcessPool):
-                        # A worker died. Every in-flight future fails
-                        # with this error, so blame cannot be assigned
-                        # here: charge nobody, flag the job a suspect,
-                        # and let the isolation path attribute crashes.
-                        broken = True
-                        job.suspect = True
-                        pending.append(job)
-                        continue
-                    exhausted_outcome = self._register_failure(
-                        job, f"{type(error).__name__}: {error}"
-                    )
-                    if exhausted_outcome is not None:
-                        outcomes.append(exhausted_outcome)
-                    else:
-                        pending.append(job)
-                if broken:
-                    self._count("pool_breaks")
-                    for future, job in list(inflight.items()):
-                        self._free_lanes.append(job.lane)
-                        job.suspect = True
-                        pending.append(job)
-                    inflight.clear()
-                    self._restart_pool()
-                    continue
-                # Hung-worker sweep: a job over budget gets its pool
-                # killed; it is charged and re-tried in isolation,
-                # innocent in-flight neighbours are requeued uncharged.
-                if self.policy.timeout_s is not None and inflight:
-                    now = time.monotonic() - self._t0
-                    expired = [
-                        (future, job)
-                        for future, job in inflight.items()
-                        if now - job.submitted_at > self.policy.timeout_s
-                    ]
-                    if expired:
-                        self.timeouts += len(expired)
-                        self._count("timeouts", float(len(expired)))
-                        expired_futures = {future for future, _job in expired}
-                        survivors = [
-                            job
-                            for future, job in inflight.items()
-                            if future not in expired_futures
-                        ]
-                        for future, job in expired:
-                            self._free_lanes.append(job.lane)
-                            job.suspect = True
-                            exhausted_outcome = self._register_failure(
-                                job,
-                                f"TimeoutError: exceeded {self.policy.timeout_s}s",
-                            )
-                            if exhausted_outcome is not None:
-                                outcomes.append(exhausted_outcome)
-                            else:
-                                pending.append(job)
-                        for job in survivors:
-                            self._free_lanes.append(job.lane)
-                            pending.append(job)
-                        inflight.clear()
-                        self._restart_pool()
-        finally:
-            self._teardown_pool(kill=True)
-        return outcomes
-
-    # -- entry point ----------------------------------------------------
-
-    def run(self, specs: Iterable[JobSpec]) -> FleetRun:
-        """Run a job stream to completion; outcomes in job-index order."""
-        self._t0 = time.monotonic()
-        if self.registry is not None:
-            self.registry.gauge("fleet.workers", "configured worker count").set(
-                float(self.jobs)
-            )
-        stream = (self._make_job(i, spec) for i, spec in enumerate(specs))
-        if self.jobs == 1:
-            outcomes = self._run_serial(stream)
-        else:
-            outcomes = self._run_parallel(stream)
-        outcomes.sort(key=lambda outcome: outcome.index)
-        wall_s = time.monotonic() - self._t0
-        report = FleetReport.from_outcomes(
-            outcomes,
-            jobs=self.jobs,
-            wall_s=wall_s,
-            retries=self.retries,
-            timeouts=self.timeouts,
-            worker_restarts=self.worker_restarts,
-            cache_stats=self.cache.stats() if self.cache is not None else None,
-        )
-        return FleetRun(outcomes=outcomes, report=report)
+            outcome.status, outcome.error = "quarantined", f"{type(exc).__name__}: {exc}"
+            return outcome
+        outcome.status, outcome.latency_s = "ok", time.monotonic() - start
+        if cache is not None:
+            cache.put(digest, spec, payload)
+    outcome.payload, outcome.result = payload, decode_result(payload)
+    return outcome
 
 
 def run_jobs(
     specs: Iterable[JobSpec],
     *,
-    jobs: int = 1,
     cache_dir: str | None = None,
-    policy: RetryPolicy | None = None,
     registry=None,
     tracer=None,
-    requires: tuple[str, ...] = (),
-    fault_hook: Callable[[int, JobSpec], Mapping[str, Any] | None] | None = None,
 ) -> FleetRun:
-    """One-call façade over :class:`FleetScheduler`."""
+    """Run a job stream to completion; outcomes in job-index order.
+
+    ``registry`` receives ``fleet.jobs{status}``, ``fleet.cache_hits`` /
+    ``fleet.cache_misses`` and the ``fleet.job_seconds`` histogram;
+    ``tracer`` gets one complete event per job on the ``fleet`` track.
+    """
     cache = ResultCache(cache_dir) if cache_dir else None
-    scheduler = FleetScheduler(
-        jobs=jobs,
-        cache=cache,
-        policy=policy,
-        registry=registry,
-        tracer=tracer,
-        requires=requires,
-        fault_hook=fault_hook,
+    track = tracer.track("fleet", "jobs") if tracer is not None and tracer.enabled else None
+    t0 = time.monotonic()
+    outcomes = []
+    for index, spec in enumerate(specs):
+        start_s = time.monotonic() - t0
+        outcome = _run_one(index, spec, cache)
+        outcomes.append(outcome)
+        if registry is not None:
+            registry.counter("fleet.jobs").labels(status=outcome.status).inc()
+            if cache is not None:
+                hit = outcome.status == "cached"
+                registry.counter("fleet.cache_hits" if hit else "fleet.cache_misses").inc()
+            if outcome.status == "ok":
+                registry.histogram(
+                    "fleet.job_seconds", "per-job wall-clock latency", buckets=_LATENCY_BUCKETS
+                ).observe(outcome.latency_s)
+        if track is not None:
+            tracer.complete(
+                track,
+                f"{spec.kind}#{index}",
+                start_s * 1e6,
+                outcome.latency_s * 1e6,
+                cat="fleet",
+                args={"status": outcome.status, "digest": outcome.digest[:12]},
+            )
+    report = FleetReport.from_outcomes(
+        outcomes,
+        wall_s=time.monotonic() - t0,
+        cache_stats=cache.stats() if cache is not None else None,
     )
-    return scheduler.run(specs)
+    return FleetRun(outcomes=outcomes, report=report)

@@ -1,94 +1,21 @@
-"""The worker protocol: what crosses the process-pool boundary.
+"""Run one job: resolve its kind, call it, encode the result.
 
-Exactly one picklable payload shape goes to a worker and exactly one
-comes back — plain JSON-safe dicts, never live objects:
-
-    request:  {"job": JobSpec.to_dict(), "requires": [...], "faults": {...}}
-    response: repro.fleet.codec.encode_result(...)
-
-``requires`` lists modules the worker imports first (their import side
-effect registers custom job kinds in the fresh interpreter a spawned
-worker starts from). ``faults`` is *test instrumentation* injected by
-the scheduler's fault hook — never part of the job spec, never part of
-the cache key:
-
-* ``sleep_s`` — stall before running (exercises the hang timeout);
-* ``crash_countdown`` — path to a file holding an integer; while it is
-  positive the worker decrements it and dies hard (``os._exit``), so
-  the first N attempts of a job crash and attempt N+1 succeeds. Run
-  inline (serial mode), the "crash" raises :class:`WorkerCrash`
-  instead, so both modes exercise the same retry path.
+The scheduler calls :func:`run_spec` for every job the cache cannot
+answer. The result leaves as a :mod:`repro.fleet.codec` payload — the
+one shape a cache entry holds — so a fresh result and a cached one
+decode alike.
 """
 
 from __future__ import annotations
-
-import importlib
-import os
-import time
-from typing import Any, Mapping
 
 from repro.fleet.codec import encode_result
 from repro.fleet.job import JobSpec
 from repro.fleet.kinds import resolve_kind
 
-__all__ = ["ENV_WORKER", "WorkerCrash", "in_worker", "execute_payload", "make_payload"]
-
-#: Set in every pool worker; lets nested code (e.g. the trace reader)
-#: detect it is already inside a fleet worker and stay serial.
-ENV_WORKER = "REPRO_FLEET_WORKER"
+__all__ = ["run_spec"]
 
 
-class WorkerCrash(RuntimeError):
-    """Simulated hard crash when a job runs inline instead of pooled."""
-
-
-def in_worker() -> bool:
-    return bool(os.environ.get(ENV_WORKER))
-
-
-def init_worker() -> None:
-    """Pool initializer: mark the process as a fleet worker."""
-    os.environ[ENV_WORKER] = "1"
-
-
-def make_payload(
-    spec: JobSpec,
-    *,
-    requires: tuple[str, ...] = (),
-    faults: Mapping[str, Any] | None = None,
-) -> dict:
-    payload: dict[str, Any] = {"job": spec.to_dict()}
-    if requires:
-        payload["requires"] = list(requires)
-    if faults:
-        payload["faults"] = dict(faults)
-    return payload
-
-
-def _apply_faults(faults: Mapping[str, Any]) -> None:
-    sleep_s = faults.get("sleep_s")
-    if sleep_s:
-        time.sleep(float(sleep_s))
-    marker = faults.get("crash_countdown")
-    if marker:
-        try:
-            remaining = int(open(marker, encoding="utf-8").read().strip() or 0)
-        except (OSError, ValueError):
-            remaining = 0
-        if remaining > 0:
-            with open(marker, "w", encoding="utf-8") as fp:
-                fp.write(str(remaining - 1))
-            if in_worker():
-                os._exit(23)
-            raise WorkerCrash(f"injected crash ({remaining - 1} left) for {marker}")
-
-
-def execute_payload(payload: Mapping[str, Any]) -> dict:
-    """Run one job payload to completion; the single worker entry point."""
-    for module in payload.get("requires", ()):
-        importlib.import_module(module)
-    spec = JobSpec.from_dict(payload["job"])
-    _apply_faults(payload.get("faults") or {})
-    kind = resolve_kind(spec.kind)
-    result = kind.fn(dict(spec.params), spec.seed)
+def run_spec(spec: JobSpec) -> dict:
+    """Run one job to completion; its result as a codec payload."""
+    result = resolve_kind(spec.kind).fn(dict(spec.params), spec.seed)
     return encode_result(result)

@@ -2,12 +2,11 @@
 
 A trace directory holds one dumpi2ascii text file per rank
 (``dumpi-<rank>.txt``) plus an optional ``meta.txt`` naming the
-application. Parsing "is done in parallel in a per-rank fashion"
-(§V-A.a) — here through :func:`repro.fleet.pool.parallel_map` when the
-trace is large enough to amortize a pool, since rank files are
-independent. Routing through the fleet pool keeps worker counts sane:
-a ``load_trace`` call *inside* a fleet worker parses serially instead
-of nesting a second process pool on oversubscribed cores.
+application. The paper's analyzer parses "in parallel in a per-rank
+fashion" (§V-A.a); here parsing is serial, rank by rank. On a 2-core
+machine a per-rank process pool measured 1.06x at best (a 27-rank,
+68 k-op LULESH trace) and 0.55x at 8 ranks, and the binary cache
+already makes a second load cheap.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from repro.fleet.pool import parallel_map
 from repro.traces.cache import load_cached, store_cache
 from repro.traces.dumpi import parse_rank_file, write_rank_file
 from repro.traces.model import Trace
@@ -23,8 +21,6 @@ from repro.traces.model import Trace
 __all__ = ["load_trace", "save_trace", "rank_file_name"]
 
 _RANK_FILE_RE = re.compile(r"^dumpi-(\d+)\.txt$")
-#: Below this many rank files, a process pool costs more than it saves.
-_PARALLEL_THRESHOLD = 8
 
 
 def rank_file_name(rank: int) -> str:
@@ -48,24 +44,8 @@ def _discover_rank_files(trace_dir: Path) -> list[tuple[int, Path]]:
     return found
 
 
-def _parse_one(args: tuple[Path, int]):
-    path, rank = args
-    return parse_rank_file(path, rank)
-
-
-def load_trace(
-    trace_dir: Path | str,
-    *,
-    use_cache: bool = True,
-    parallel: bool = True,
-    max_workers: int | None = None,
-) -> Trace:
-    """Load a trace directory, honouring the binary cache.
-
-    ``max_workers`` caps the parsing pool (``None`` = machine size);
-    the effective count is resolved by the fleet pool, so it is always
-    1 inside a fleet worker.
-    """
+def load_trace(trace_dir: Path | str, *, use_cache: bool = True) -> Trace:
+    """Load a trace directory, honouring the binary cache."""
     trace_dir = Path(trace_dir)
     if use_cache:
         cached = load_cached(trace_dir)
@@ -79,15 +59,7 @@ def load_trace(
             key, _, value = line.partition("=")
             if key.strip() == "name":
                 name = value.strip()
-    if parallel:
-        ranks = parallel_map(
-            _parse_one,
-            [(path, rank) for rank, path in files],
-            max_workers=max_workers,
-            threshold=_PARALLEL_THRESHOLD,
-        )
-    else:
-        ranks = [parse_rank_file(path, rank) for rank, path in files]
+    ranks = [parse_rank_file(path, rank) for rank, path in files]
     trace = Trace(name=name, nprocs=len(ranks), ranks=ranks)
     if use_cache:
         store_cache(trace_dir, trace)

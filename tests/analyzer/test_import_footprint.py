@@ -11,6 +11,11 @@ nothing an earlier test imported can hide a regression:
   traceback in the assertion message names the importing file;
 * unblocked — a ``sys.meta_path`` witness records the ``repro`` frame
   that first imports either package, so a leak names its culprit.
+
+The same witness guards two more edges. Experiment grids run inline, so
+no front door may load a process pool (``multiprocessing`` or
+``concurrent.futures``), and the trace package stands below the fleet:
+``import repro.traces`` loads no ``repro.fleet`` module.
 """
 
 import json
@@ -104,3 +109,52 @@ def test_fig7_path_leaves_them_unloaded(unblocked):
 def test_graph_stats_loads_networkx_and_only_networkx(unblocked):
     pytest.importorskip("networkx")
     assert unblocked["after_graph_stats"] == ["networkx"]
+
+
+_EDGE_PROBE = """
+import importlib, json, os, sys, traceback
+
+PKG = f"{os.sep}repro{os.sep}"
+culprits = {}
+
+
+class Witness:
+    def find_spec(self, name, path=None, target=None):
+        hit = next((p for p in FORBIDDEN if name == p or name.startswith(p + ".")), None)
+        if hit is not None and hit not in culprits:
+            ours = [f for f in traceback.extract_stack() if PKG in f.filename]
+            culprits[hit] = f"{ours[-1].filename}:{ours[-1].lineno}" if ours else "?"
+        return None
+
+
+sys.meta_path.insert(0, Witness())
+importlib.import_module(MODULE)
+print(json.dumps(culprits))
+"""
+
+_POOLS = ("multiprocessing", "concurrent.futures")
+
+
+@pytest.mark.parametrize(
+    "module, forbidden",
+    [
+        ("repro.bench.pingpong", _POOLS),
+        ("repro.net.cluster", _POOLS),
+        ("repro.analyzer.sweep", _POOLS),
+        ("repro.chaos.cli", _POOLS),
+        ("repro.traces", ("repro.fleet",)),
+    ],
+)
+def test_import_loads_no_forbidden_module(module, forbidden):
+    """Each import, in a fresh interpreter, loads none of ``forbidden``;
+    a leak names the ``file:line`` that first imported it."""
+    src = Path(repro.__file__).resolve().parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    script = f"MODULE = {module!r}\nFORBIDDEN = {forbidden!r}\n{_EDGE_PROBE}"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {}, f"import {module} loaded: {proc.stdout}"

@@ -19,12 +19,12 @@ from repro.bench.gate import (
 BASE = {
     "benchmark": "pressure-overload",
     "params": {"rounds": 16, "senders": 4},
-    "serial_s": 12.5,  # machine-dependent: ignored by policy
+    "cold_s": 12.5,  # machine-dependent: ignored by policy
     "results": [
         {"label": "evict", "dpa_cycles": 1000, "message_rate": 2.0},
         {"label": "demote", "dpa_cycles": 800, "message_rate": 3.0},
     ],
-    "parallel_identical_to_serial": True,
+    "warm_identical_to_cold": True,
     "mode": "strict",
 }
 
@@ -46,7 +46,7 @@ class TestFlatten:
 
     def test_bools_and_strings(self):
         flat = flatten(BASE)
-        assert flat["parallel_identical_to_serial"] == 1.0
+        assert flat["warm_identical_to_cold"] == 1.0
         assert flat["mode"] == "strict"
 
 
@@ -56,7 +56,7 @@ class TestRunGate:
         assert verdict.passed and not verdict.regressions
         assert verdict.benchmark == "pressure-overload"
         # Ignored wall-clock metrics are not even compared.
-        assert all("serial_s" != f.path for f in verdict.findings)
+        assert all("cold_s" != f.path for f in verdict.findings)
 
     def test_cost_regression_fails(self):
         fresh = copy.deepcopy(BASE)

@@ -39,7 +39,7 @@ def test_usage_lists_every_suite(capsys):
         assert f"\n  {name} " in usage
 
 
-COUNT_FLAGS = ("--schedules", "--jobs", "--rounds", "--ranks")
+COUNT_FLAGS = ("--schedules", "--rounds", "--ranks")
 
 
 @pytest.mark.parametrize(
@@ -48,7 +48,7 @@ COUNT_FLAGS = ("--schedules", "--jobs", "--rounds", "--ranks")
         (suite, flag)
         for suite, row in SUITES.items()
         for flag in COUNT_FLAGS
-        if row.sized or flag in ("--schedules", "--jobs")
+        if row.sized or flag == "--schedules"
     ],
 )
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -74,7 +74,7 @@ def test_quarantined_run_is_a_failure_in_totals_and_metrics(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "run_chaos", crash_on_seed_2)
     metrics = tmp_path / "soak.metrics.json"
     argv = ["soak", "--schedules", "3", "--lane", "clean", "--lane", "drops",
-            "--jobs", "1", "--metrics-out", str(metrics)]
+            "--metrics-out", str(metrics)]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     for lane in ("clean", "drops"):

@@ -3,7 +3,7 @@
 For each suite the fixture holds
 
 * the ordered ``JobSpec.digest()`` list at the suite's CI arguments —
-  enumeration only: ``FleetScheduler.run`` is stubbed, nothing runs.
+  enumeration only: ``run_jobs`` is stubbed, nothing runs.
   Equal digests also mean a ``--cache-dir`` filled by one checkout is
   all hits for the other;
 * the exact stdout, stderr and exit code of ``python -m
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fleet.scheduler import FleetScheduler
+import repro.chaos.runner as runner
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 FIXTURE = Path(__file__).parent / "fixtures" / "suite_pin.json"
@@ -43,16 +43,15 @@ CI_ARGS: dict[str, tuple[int, list[str]]] = {
     "soak": (25, ["--seed-base", "1"]),
     "cores": (
         16,
-        ["--jobs", "2", "--assert-replay", "--assert-takeover",
-         "--assert-mutants-caught"],
+        ["--assert-replay", "--assert-takeover", "--assert-mutants-caught"],
     ),
     "overload": (
         16,
-        ["--jobs", "2", "--assert-demotion", "--assert-eviction",
-         "--assert-recall", "--assert-takeover"],
+        ["--assert-demotion", "--assert-eviction", "--assert-recall",
+         "--assert-takeover"],
     ),
-    "cluster": (8, ["--jobs", "2", "--verbose"]),
-    "ranks": (8, ["--jobs", "2", "--verbose"]),
+    "cluster": (8, ["--verbose"]),
+    "ranks": (8, ["--verbose"]),
 }
 
 #: suite -> the artifact files it can write.
@@ -97,13 +96,13 @@ def enumerate_digests(suite: str, monkeypatch: pytest.MonkeyPatch) -> list[str]:
 
     digests: list[str] = []
 
-    def run(self, specs):
+    def run(specs, **kwargs):
         digests.extend(spec.digest() for spec in specs)
         raise _Enumerated
 
     schedules, rest = CI_ARGS[suite]
     with monkeypatch.context() as patch:
-        patch.setattr(FleetScheduler, "run", run)
+        patch.setattr(runner, "run_jobs", run)
         with pytest.raises(_Enumerated):
             main([suite, _count_flag(suite), str(schedules), *rest])
     return digests

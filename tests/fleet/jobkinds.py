@@ -1,16 +1,8 @@
-"""Cheap job kinds for scheduler tests.
-
-Importing this module registers the kinds — which is exactly how a
-spawned worker learns them: the scheduler's ``requires`` list names
-this module and :func:`repro.fleet.worker.execute_payload` imports it
-before resolving the kind in the fresh interpreter.
-"""
+"""Cheap job kinds for fleet tests; importing this module registers them."""
 
 from __future__ import annotations
 
 from repro.fleet import register_kind
-
-REQUIRES = ("tests.fleet.jobkinds",)
 
 
 def _echo(params, seed):

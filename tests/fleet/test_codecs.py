@@ -108,18 +108,16 @@ def test_chaos_config_params_round_trip():
 
 def test_fleet_report_round_trip():
     report = FleetReport(
-        jobs=4,
         total=3,
         executed=2,
         cached=1,
-        retries=1,
         wall_s=1.5,
         cache={"hits": 1, "misses": 2, "writes": 2},
         records=[{"index": 0, "status": "ok"}],
     )
     assert FleetReport.from_json(report.to_json()).to_json() == report.to_json()
     with pytest.raises(ValueError, match="unsupported schema"):
-        FleetReport.from_json(report.to_json().replace("/v1", "/v999"))
+        FleetReport.from_json(report.to_json().replace("/v2", "/v999"))
 
 
 class TestResultEnvelope:

@@ -1,65 +1,22 @@
-"""FleetScheduler semantics: retries, quarantine, caching, obs export.
-
-Serial-mode tests run jobs inline (fast); a small number of tests
-exercise the real spawn pool and are kept deliberately tiny because
-spawning interpreters dominates their runtime.
-"""
+"""``run_jobs`` semantics: stream order, quarantine, caching, obs export."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fleet import FleetError, JobSpec, RetryPolicy, run_jobs
+import tests.fleet.jobkinds  # noqa: F401 - registers test_echo / test_fail
+from repro.fleet import FleetError, JobSpec, run_jobs
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import SpanTracer
-from tests.fleet.jobkinds import REQUIRES
 
 
 def _echo_specs(n):
     return [JobSpec(kind="test_echo", params={"value": i}, seed=i) for i in range(n)]
 
 
-def _crash_hook(tmp_path, indices, countdown):
-    """Fault hook crashing the first ``countdown`` attempts of ``indices``."""
-    markers = {}
-    for index in indices:
-        marker = tmp_path / f"crash-{index}"
-        marker.write_text(str(countdown))
-        markers[index] = str(marker)
-
-    def hook(index, spec):
-        if index in markers:
-            return {"crash_countdown": markers[index]}
-        return None
-
-    return hook
-
-
-class TestRetryPolicy:
-    def test_backoff_shape(self):
-        policy = RetryPolicy(base_delay_s=0.1, backoff=2.0, max_delay_s=0.35)
-        assert policy.delay_for(0) == 0.0
-        assert policy.delay_for(1) == pytest.approx(0.1)
-        assert policy.delay_for(2) == pytest.approx(0.2)
-        assert policy.delay_for(3) == pytest.approx(0.35)  # capped
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_attempts": 0},
-            {"backoff": 0.5},
-            {"base_delay_s": -1},
-            {"timeout_s": 0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RetryPolicy(**kwargs)
-
-
 class TestSerial:
     def test_results_in_job_order(self):
-        run = run_jobs(_echo_specs(4), requires=REQUIRES)
+        run = run_jobs(_echo_specs(4))
         assert [o.status for o in run.outcomes] == ["ok"] * 4
         assert run.results() == [{"value": i, "seed": i} for i in range(4)]
         assert run.report.total == 4
@@ -68,30 +25,16 @@ class TestSerial:
 
     def test_generator_stream(self):
         stream = (JobSpec(kind="test_echo", params={"value": i}) for i in range(3))
-        run = run_jobs(stream, requires=REQUIRES)
+        run = run_jobs(stream)
         assert [o.result["value"] for o in run.outcomes] == [0, 1, 2]
-
-    def test_crash_is_retried_then_succeeds(self, tmp_path):
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-        run = run_jobs(
-            _echo_specs(3),
-            requires=REQUIRES,
-            policy=policy,
-            fault_hook=_crash_hook(tmp_path, {1}, countdown=1),
-        )
-        assert [o.status for o in run.outcomes] == ["ok"] * 3
-        assert run.outcomes[1].attempts == 2
-        assert run.outcomes[0].attempts == 1
-        assert run.report.retries == 1
 
     def test_poisoned_job_is_quarantined_not_fatal(self):
         specs = _echo_specs(2) + [JobSpec(kind="test_fail")]
-        policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-        run = run_jobs(specs, requires=REQUIRES, policy=policy)
+        run = run_jobs(specs)
         assert [o.status for o in run.outcomes] == ["ok", "ok", "quarantined"]
         bad = run.outcomes[2]
-        assert bad.attempts == 2
-        assert "injected failure" in bad.error
+        assert bad.error == "RuntimeError: injected failure"
+        assert bad.result is None and bad.payload is None
         assert run.report.quarantined == 1
         with pytest.raises(FleetError, match="quarantined"):
             run.require_ok()
@@ -100,9 +43,7 @@ class TestSerial:
         """Satellite: quarantined job ids are first-class report data,
         so a sweep's nonzero exit is attributable without records."""
         specs = _echo_specs(2) + [JobSpec(kind="test_fail", seed=7)]
-        run = run_jobs(
-            specs, requires=REQUIRES, policy=RetryPolicy(max_attempts=1)
-        )
+        run = run_jobs(specs)
         report = run.report
         assert report.quarantined_ids == ["#2 test_fail seed=7"]
         assert "#2 test_fail seed=7" in report.summary()
@@ -114,25 +55,15 @@ class TestSerial:
         assert not restored.ok
 
     def test_clean_run_has_no_quarantined_ids(self):
-        run = run_jobs(_echo_specs(2), requires=REQUIRES)
+        run = run_jobs(_echo_specs(2))
         assert run.report.quarantined_ids == []
-
-    def test_faults_never_reach_the_cache_key(self, tmp_path):
-        plain = run_jobs(_echo_specs(2), requires=REQUIRES)
-        faulted = run_jobs(
-            _echo_specs(2),
-            requires=REQUIRES,
-            policy=RetryPolicy(base_delay_s=0.0),
-            fault_hook=_crash_hook(tmp_path, {0}, countdown=1),
-        )
-        assert [o.digest for o in plain.outcomes] == [o.digest for o in faulted.outcomes]
 
 
 class TestCache:
     def test_warm_run_executes_nothing(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        cold = run_jobs(_echo_specs(3), requires=REQUIRES, cache_dir=cache_dir)
-        warm = run_jobs(_echo_specs(3), requires=REQUIRES, cache_dir=cache_dir)
+        cold = run_jobs(_echo_specs(3), cache_dir=cache_dir)
+        warm = run_jobs(_echo_specs(3), cache_dir=cache_dir)
         assert cold.report.executed == 3 and cold.report.cached == 0
         assert warm.report.executed == 0 and warm.report.cached == 3
         assert warm.results() == cold.results()
@@ -140,22 +71,12 @@ class TestCache:
 
     def test_quarantined_jobs_are_never_cached(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        policy = RetryPolicy(max_attempts=1)
-        first = run_jobs(
-            [JobSpec(kind="test_fail")],
-            requires=REQUIRES,
-            policy=policy,
-            cache_dir=cache_dir,
-        )
-        again = run_jobs(
-            [JobSpec(kind="test_fail")],
-            requires=REQUIRES,
-            policy=policy,
-            cache_dir=cache_dir,
-        )
+        first = run_jobs([JobSpec(kind="test_fail")], cache_dir=cache_dir)
+        again = run_jobs([JobSpec(kind="test_fail")], cache_dir=cache_dir)
         assert first.outcomes[0].status == "quarantined"
         assert again.outcomes[0].status == "quarantined"
         assert again.report.cached == 0
+        assert first.report.cache["writes"] == 0
 
 
 class TestObs:
@@ -163,82 +84,14 @@ class TestObs:
         registry = MetricsRegistry()
         tracer = SpanTracer()
         run_jobs(
-            _echo_specs(3),
-            requires=REQUIRES,
+            _echo_specs(3) + [JobSpec(kind="test_fail")],
             registry=registry,
             tracer=tracer,
             cache_dir=str(tmp_path / "cache"),
-            policy=RetryPolicy(base_delay_s=0.0),
-            fault_hook=_crash_hook(tmp_path, {2}, countdown=1),
         )
         snap = registry.snapshot()
         assert snap.get("fleet.jobs{status=ok}") == 3.0
-        assert snap.get("fleet.cache_misses") == 3.0
-        assert snap.get("fleet.retries") == 1.0
-        assert snap.get("fleet.workers") == 1.0
+        assert snap.get("fleet.jobs{status=quarantined}") == 1.0
+        assert snap.get("fleet.cache_misses") == 4.0
         assert snap.get("fleet.job_seconds_count") == 3.0
-        assert len(tracer) >= 3
-
-
-class TestParallel:
-    """Real spawn-pool runs — kept tiny, interpreters dominate."""
-
-    def test_parallel_payloads_match_serial(self):
-        serial = run_jobs(_echo_specs(4), requires=REQUIRES)
-        parallel = run_jobs(_echo_specs(4), jobs=2, requires=REQUIRES)
-        assert [o.payload for o in parallel.outcomes] == [
-            o.payload for o in serial.outcomes
-        ]
-        assert parallel.report.executed == 4
-
-    def test_worker_crash_retry_and_quarantine_isolation(self, tmp_path):
-        """A dying worker must not take innocent neighbours with it.
-
-        Job 1 hard-crashes its pooled attempt (killing the pool under
-        every in-flight job — charged to nobody, blame is ambiguous)
-        and its first isolated re-run (charged), then succeeds; the
-        others must come back ok with no attempts charged to them.
-        """
-        markers = _crash_hook(tmp_path, {1}, countdown=2)
-        run = run_jobs(
-            _echo_specs(3),
-            jobs=2,
-            requires=REQUIRES,
-            policy=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-            fault_hook=markers,
-        )
-        assert [o.status for o in run.outcomes] == ["ok"] * 3
-        assert run.outcomes[1].attempts == 2
-        assert run.outcomes[0].attempts <= 1 and run.outcomes[2].attempts <= 1
-        assert run.report.retries >= 1
-        assert run.report.worker_restarts >= 1
-        assert run.results() == [{"value": i, "seed": i} for i in range(3)]
-
-    def test_poisoned_job_quarantined_without_collateral(self, tmp_path):
-        """A job that crashes every attempt is quarantined alone."""
-        run = run_jobs(
-            _echo_specs(3),
-            jobs=2,
-            requires=REQUIRES,
-            policy=RetryPolicy(max_attempts=2, base_delay_s=0.0),
-            fault_hook=_crash_hook(tmp_path, {0}, countdown=99),
-        )
-        assert [o.status for o in run.outcomes] == ["quarantined", "ok", "ok"]
-        assert run.outcomes[0].attempts == 2
-        assert run.report.quarantined == 1
-
-    def test_hung_worker_times_out(self, tmp_path):
-        def hook(index, spec):
-            return {"sleep_s": 30.0} if index == 0 else None
-
-        run = run_jobs(
-            _echo_specs(2),
-            jobs=2,
-            requires=REQUIRES,
-            policy=RetryPolicy(max_attempts=1, base_delay_s=0.0, timeout_s=1.0),
-            fault_hook=hook,
-        )
-        assert run.outcomes[0].status == "quarantined"
-        assert "Timeout" in run.outcomes[0].error
-        assert run.outcomes[1].status == "ok"
-        assert run.report.timeouts >= 1
+        assert len(tracer) >= 4

@@ -92,5 +92,5 @@ class TestRecordAnalyzeLoop:
         recorder.isend(0, 1, 0, b"x")
         recorder.wait(req)
         save_trace(recorder.trace(), tmp_path / "rec")
-        loaded = load_trace(tmp_path / "rec", parallel=False)
+        loaded = load_trace(tmp_path / "rec")
         assert loaded.total_ops() == recorder.trace().total_ops()

@@ -28,7 +28,7 @@ def small_trace():
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         save_trace(small_trace(), tmp_path / "unit")
-        loaded = load_trace(tmp_path / "unit", use_cache=False, parallel=False)
+        loaded = load_trace(tmp_path / "unit", use_cache=False)
         assert loaded.name == "unit"
         assert loaded.nprocs == 2
         assert loaded.rank(0).ops[0].kind is OpKind.IRECV
@@ -54,7 +54,7 @@ class TestSaveLoad:
     def test_synthetic_round_trip(self, tmp_path):
         original = generate("AMG", processes=8, rounds=2)
         save_trace(original, tmp_path / "amg")
-        loaded = load_trace(tmp_path / "amg", use_cache=False, parallel=False)
+        loaded = load_trace(tmp_path / "amg", use_cache=False)
         assert loaded.total_ops() == original.total_ops()
         assert loaded.counts_by_group() == original.counts_by_group()
 
@@ -63,9 +63,9 @@ class TestCache:
     def test_cache_hit_after_first_load(self, tmp_path):
         d = tmp_path / "cached"
         save_trace(small_trace(), d)
-        first = load_trace(d, parallel=False)
+        first = load_trace(d)
         assert cache_path(d).exists()
-        second = load_trace(d, parallel=False)
+        second = load_trace(d)
         assert second.total_ops() == first.total_ops()
 
     def test_cache_invalidated_on_change(self, tmp_path):
@@ -73,7 +73,7 @@ class TestCache:
 
         d = tmp_path / "inv"
         save_trace(small_trace(), d)
-        load_trace(d, parallel=False)
+        load_trace(d)
         # Touch a rank file with a different size: fingerprint changes.
         path = d / "dumpi-0.txt"
         path.write_text(path.read_text() + "\n")
@@ -87,7 +87,7 @@ class TestCache:
         cache_path(d).write_bytes(b"garbage")
         assert load_cached(d) is None
         # And loading falls back to parsing.
-        assert load_trace(d, parallel=False).nprocs == 2
+        assert load_trace(d).nprocs == 2
 
     def test_store_load_identity(self, tmp_path):
         d = tmp_path / "ident"
