@@ -18,13 +18,15 @@ statistics and the cost model, and reports the distribution
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.engine import OptimisticMatcher
 from repro.core.events import ResolutionPath
 from repro.dpa.costs import DpaCostModel, HostCostModel
 from repro.bench.scenarios import Scenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LatencyDistribution", "dpa_latencies", "host_latencies"]
 
@@ -45,6 +47,8 @@ class LatencyDistribution:
     def from_samples(cls, label: str, samples_ns: np.ndarray) -> "LatencyDistribution":
         if samples_ns.size == 0:
             return cls(label, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        import numpy as np
+
         return cls(
             label=label,
             messages=int(samples_ns.size),
@@ -98,6 +102,8 @@ def dpa_latencies(
             factor = _PATH_FACTOR.get(event.path, 1.0)
             cycles = base_cycles * factor + costs.dispatch_serial
             samples.append(costs.cycles_to_seconds(cycles) * 1e9)
+    import numpy as np
+
     return LatencyDistribution.from_samples(
         scenario.label, np.asarray(samples, dtype=float)
     )
@@ -123,4 +129,6 @@ def host_latencies(
         position = i % burst
         cycles = (position + 1) * per_message_cycles
         samples.append(costs.cycles_to_seconds(cycles) * 1e9)
+    import numpy as np
+
     return LatencyDistribution.from_samples("MPI-CPU", np.asarray(samples))

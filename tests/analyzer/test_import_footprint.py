@@ -1,10 +1,10 @@
-"""Import-footprint guard: the Fig. 7 path loads neither scipy nor networkx.
+"""Import-footprint guard: each path loads only the packages it uses.
 
-Neither package is a runtime dependency of ``repro.analyzer``'s Fig. 7
-path (scipy is dev-only; networkx is needed only where a communication
-graph is built), and every fleet worker pays for what the package
-imports at module level. Each case runs in a fresh interpreter, so
-nothing an earlier test imported can hide a regression:
+Neither scipy nor networkx is a runtime dependency of
+``repro.analyzer``'s Fig. 7 path (scipy is dev-only; networkx is needed
+only where a communication graph is built), and every fleet worker pays
+for what the package imports at module level. Each case runs in a fresh
+interpreter, so nothing an earlier test imported can hide a regression:
 
 * blocked — both packages are set to ``None`` in ``sys.modules`` before
   anything is imported; a module-level import of either fails, and the
@@ -12,10 +12,14 @@ nothing an earlier test imported can hide a regression:
 * unblocked — a ``sys.meta_path`` witness records the ``repro`` frame
   that first imports either package, so a leak names its culprit.
 
-The same witness guards two more edges. Experiment grids run inline, so
-no front door may load a process pool (``multiprocessing`` or
+The same witness guards more edges. Experiment grids run inline, so no
+front door may load a process pool (``multiprocessing`` or
 ``concurrent.futures``), and the trace package stands below the fleet:
-``import repro.traces`` loads no ``repro.fleet`` module.
+``import repro.traces`` loads no ``repro.fleet`` module. numpy loads only
+where a seeded stream is drawn or a percentile is taken: the Fig. 8
+ping-pong, the cluster halo, the engine and the RDMA protocol import
+none of it, and the ping-pong and halo runs give the same results with
+numpy blocked, while ``make_rng`` still needs it.
 """
 
 import json
@@ -27,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.util.rng import make_rng
 
 _PROBE = """
 import json, os, sys, traceback
@@ -75,16 +80,22 @@ print(json.dumps(out))
 """
 
 
-def _probe(block: bool) -> dict:
+def _fresh(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter that imports this ``repro``;
+    the JSON it prints."""
     src = Path(repro.__file__).resolve().parents[1]
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", f"BLOCK = {block}\n{_PROBE}"],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _probe(block: bool) -> dict:
+    return _fresh(f"BLOCK = {block}\n{_PROBE}")
 
 
 def test_fig7_path_runs_with_scipy_and_networkx_blocked():
@@ -111,7 +122,7 @@ def test_graph_stats_loads_networkx_and_only_networkx(unblocked):
     assert unblocked["after_graph_stats"] == ["networkx"]
 
 
-_EDGE_PROBE = """
+_WITNESS = """
 import importlib, json, os, sys, traceback
 
 PKG = f"{os.sep}repro{os.sep}"
@@ -125,36 +136,80 @@ class Witness:
             ours = [f for f in traceback.extract_stack() if PKG in f.filename]
             culprits[hit] = f"{ours[-1].filename}:{ours[-1].lineno}" if ours else "?"
         return None
+"""
 
-
+_EDGE_PROBE = _WITNESS + """
 sys.meta_path.insert(0, Witness())
 importlib.import_module(MODULE)
 print(json.dumps(culprits))
 """
 
 _POOLS = ("multiprocessing", "concurrent.futures")
+_SIMULATOR = (*_POOLS, "numpy")
 
 
 @pytest.mark.parametrize(
     "module, forbidden",
     [
-        ("repro.bench.pingpong", _POOLS),
-        ("repro.net.cluster", _POOLS),
+        ("repro.bench.pingpong", _SIMULATOR),
+        ("repro.net.cluster", _SIMULATOR),
         ("repro.analyzer.sweep", _POOLS),
         ("repro.chaos.cli", _POOLS),
         ("repro.traces", ("repro.fleet",)),
+        ("repro.core.engine", _SIMULATOR),
+        ("repro.rdma.protocol", _SIMULATOR),
     ],
 )
 def test_import_loads_no_forbidden_module(module, forbidden):
     """Each import, in a fresh interpreter, loads none of ``forbidden``;
     a leak names the ``file:line`` that first imported it."""
-    src = Path(repro.__file__).resolve().parents[1]
-    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    script = f"MODULE = {module!r}\nFORBIDDEN = {forbidden!r}\n{_EDGE_PROBE}"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=300,
+    loaded = _fresh(f"MODULE = {module!r}\nFORBIDDEN = {forbidden!r}\n{_EDGE_PROBE}")
+    assert loaded == {}, f"import {module} loaded: {loaded}"
+
+
+_RUN_PROBE = _WITNESS + """
+import hashlib
+
+if BLOCK:
+    sys.modules["numpy"] = None
+else:
+    sys.meta_path.insert(0, Witness())
+
+from repro.bench.pingpong import PingPongBench
+from repro.bench.scenarios import SCENARIOS
+from repro.net.cluster import ClusterSim, cluster_workload
+from repro.util.rng import make_rng
+
+
+def digest(payload):
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+bench = PingPongBench(k=100, repetitions=1)
+out = {
+    "nc": digest(bench.run_optimistic(SCENARIOS[0]).to_dict()),
+    "wc": digest(bench.run_optimistic(SCENARIOS[1]).to_dict()),
+    "halo": digest(ClusterSim(cluster_workload("halo", 16, rounds=2)).run().to_dict()),
+    "loaded": dict(culprits),
+}
+try:
+    out["make_rng"] = make_rng(0).integers(0, 1 << 30, size=2).tolist()
+except ImportError:
+    out["make_rng"] = "ImportError"
+print(json.dumps(out))
+"""
+
+
+def test_pingpong_and_halo_run_without_numpy():
+    """With numpy blocked, an NC and a WC ping-pong and a 16-rank halo
+    give the unblocked interpreter's results, and the unblocked runs load
+    no numpy either; ``make_rng`` still needs it (lazy, not gone)."""
+    blocked, unblocked = (
+        _fresh(f"BLOCK = {block}\nFORBIDDEN = ('numpy',)\n{_RUN_PROBE}") for block in (True, False)
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {}, f"import {module} loaded: {proc.stdout}"
+    assert unblocked["loaded"] == {}, f"numpy loaded by: {unblocked['loaded']}"
+    for run in ("nc", "wc", "halo"):
+        assert blocked[run] == unblocked[run], run
+    assert blocked["make_rng"] == "ImportError"
+    assert unblocked["make_rng"] == make_rng(0).integers(0, 1 << 30, size=2).tolist()
