@@ -199,9 +199,7 @@ class OptimisticMatcher:
                 self.pressure.release_unexpected()
             self.stats.receives_matched_from_unexpected += 1
             if self.recorder is not None:
-                self.recorder.stamp(
-                    stored.envelope.mid, "matched", path="serial"
-                )
+                self.recorder.stamp(stored.envelope.mid, "matched", ("path", "serial"))
             return MatchEvent(
                 kind=MatchKind.UNEXPECTED_DRAIN,
                 message=stored.envelope,
@@ -470,7 +468,7 @@ class OptimisticMatcher:
             # ``_value_`` is the member's plain attribute; ``.value``
             # would cost two Python calls through the enum descriptor.
             self.recorder.stamp(
-                ctx.messages[tid].mid, "matched", path=path._value_, thread=tid
+                ctx.messages[tid].mid, "matched", ("path", path._value_, "thread", tid)
             )
         if self._observer is not None:
             self._observer(
@@ -487,7 +485,7 @@ class OptimisticMatcher:
         self.unexpected.insert(um)
         ctx.stats.unexpected += 1
         if self.recorder is not None:
-            self.recorder.stamp(msg.mid, "umq", thread=tid)
+            self.recorder.stamp(msg.mid, "umq", ("thread", tid))
         ctx.outcomes[tid] = (MatchKind.STORED_UNEXPECTED, None, None, ResolutionPath.SERIAL)
         if self._observer is not None:
             self._observer(

@@ -464,7 +464,7 @@ class DpaMachine:
         """Park the oldest unexpected entry on the host. Charged first:
         the ledger's ``parked`` stamp is on the cycle clock."""
         self.report.dpa_cycles += self.costs.eviction_cycles
-        self._ladder.evict_oldest(cause=cause)
+        self._ladder.evict_oldest(("cause", cause))
 
     def _reserve_block_room(self) -> bool:
         """Make headroom for the next block's worst case (every message
@@ -551,7 +551,7 @@ class DpaMachine:
         self.report.host_messages += 1
         if stored:
             if self.recorder.enabled:
-                self.recorder.stamp(msg.mid, "umq", host=True)
+                self.recorder.stamp(msg.mid, "umq", ("host", True))
         else:
             self._record_match(event)
         ladder.events.append(event)

@@ -585,20 +585,28 @@ class ClusterSim:
                 checked += 1
         # A message no injection explains is counted in neither
         # ``exact`` nor ``recovered``: ``ClusterReport.ok`` requires the
-        # three to add up. The first injection that explains one settles it.
+        # three to add up. The first injection that explains one settles
+        # it; the fabric's hop log holds them in injection order.
         settled = [False] * len(wire)
-        for mid, _, name, detail, _ in columns.notes:
-            if name != "fabric_hops" or settled[mid] or not detail:
+        log = self.fabric.hop_log
+        mids, injects, arrivals = log.mids, log.injects, log.arrivals
+        dropped, ends, ticks = log.dropped, log.ends, log.ticks
+        end = 0
+        for row in range(log.rows):
+            start, end = end, ends[row]  # the row's boundary ticks
+            mid = mids[row]
+            if settled[mid]:
                 continue
             wire_ts = wire[mid]
-            if detail["dropped"] or wire_ts is None or detail["arrival"] != staged[mid]:
+            arrival = arrivals[row]
+            if dropped[row] or wire_ts is None or arrival != staged[mid]:
                 continue
-            hop_sum = 0
-            for _, t_in, t_out in detail["hops"]:
-                hop_sum += t_out - t_in
-            if hop_sum == detail["arrival"] - detail["inject"]:
+            # Consecutive hops share their boundary tick, so the hop
+            # durations sum to the last boundary minus the first.
+            inject = injects[row]
+            if ticks[end - 1] - ticks[start] == arrival - inject:
                 settled[mid] = True
-                if detail["inject"] == wire_ts:
+                if inject == wire_ts:
                     exact += 1
                 else:
                     recovered += 1  # a retransmitted copy delivered

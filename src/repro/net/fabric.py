@@ -40,13 +40,14 @@ heartbeats perturbs no data-path observable.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 
 from repro.net.faults import FaultSchedule, LinkFaultPlan
 from repro.net.routing import RouteTable
 from repro.net.topology import Topology
 
-__all__ = ["Fabric", "Hop", "LinkStats", "Transfer"]
+__all__ = ["Fabric", "Hop", "HopLog", "LinkStats", "Transfer"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,6 +103,80 @@ class Transfer:
         return self.times[0] == self.inject and (
             self.dropped or self.times[-1] == self.arrival
         )
+
+
+class HopLog:
+    """The hop schedules a flight recorder keeps, as typed columns: one
+    row per recorded injection, keyed by the message's mid.
+
+    Row ``i`` is message ``mids[i]``, injected at ``injects[i]`` from
+    host ``srcs[i]`` to ``dsts[i]`` along ``routes[i]`` (the flow's
+    route tuple, shared by all its rows) and delivered at
+    ``arrivals[i]``, unless ``dropped[i]``. Its boundary ticks are
+    ``ticks[ends[i - 1]:ends[i]]`` (from 0 for row 0), one more than
+    the links it crossed: a dropped packet was lost on the next link of
+    its route. The ledger's ``fabric_hops`` note points at its row;
+    the dict it reads is built by :meth:`detail`, only when asked.
+    """
+
+    __slots__ = (
+        "rows", "mids", "injects", "arrivals", "dropped", "ends", "ticks",
+        "srcs", "dsts", "routes", "_capacity",
+    )
+
+    def __init__(self) -> None:
+        self.rows = self._capacity = 0
+        self.mids = array("q")
+        self.injects = array("q")
+        self.arrivals = array("q")
+        self.dropped = bytearray()
+        self.ends = array("q")
+        self.ticks = array("q")
+        self.srcs: list[str] = []
+        self.dsts: list[str] = []
+        self.routes: list[tuple[str, ...]] = []
+
+    def keep(self, mid: int, transfer: Transfer) -> int:
+        """Copy ``transfer``'s schedule into a new row; returns the row."""
+        row = self.rows
+        if row == self._capacity:  # double the room
+            block = max(row, 256)
+            for column in (self.mids, self.injects, self.arrivals, self.ends):
+                column.extend(array("q", (0,)) * block)
+            self.dropped.extend(bytes(block))
+            for column in (self.srcs, self.dsts, self.routes):
+                column.extend([None] * block)
+            self._capacity += block
+        self.rows = row + 1
+        ticks = self.ticks
+        ticks.extend(transfer.times)
+        self.mids[row] = mid
+        self.injects[row] = transfer.inject
+        self.arrivals[row] = transfer.arrival
+        self.dropped[row] = transfer.dropped
+        self.ends[row] = len(ticks)
+        self.srcs[row] = transfer.src
+        self.dsts[row] = transfer.dst
+        self.routes[row] = transfer.route
+        return row
+
+    def detail(self, row: int) -> dict:
+        """Row ``row`` as the ``fabric_hops`` note's detail."""
+        times = self.ticks[self.ends[row - 1] if row else 0 : self.ends[row]]
+        route = self.routes[row]
+        dropped = bool(self.dropped[row])
+        return {
+            "src": self.srcs[row],
+            "dst": self.dsts[row],
+            "inject": self.injects[row],
+            "arrival": self.arrivals[row],
+            "dropped": dropped,
+            "drop_link": route[len(times) - 1] if dropped else "",
+            "hops": [
+                [link, t_in, t_out]
+                for link, t_in, t_out in zip(route, times, times[1:])
+            ],
+        }
 
 
 @dataclass(slots=True)
@@ -178,6 +253,8 @@ class Fabric:
         self.dropped = 0
         self.control_injected = 0
         self.control_delivered = 0
+        #: Hop schedules of the injections a flight recorder notes.
+        self.hop_log = HopLog()
 
     def now(self) -> float:
         return float(self.clock)

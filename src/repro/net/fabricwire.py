@@ -14,8 +14,10 @@ transition at transmit; when the message-bearing packet pops out of
 the fabric here, the ``staged`` transition is stamped *at the exact
 arrival tick* (``FlightRecorder.stamp_at``), so the ledger's wire
 phase equals the fabric transit time — which the fabric's telescoping
-hop schedule splits exactly into per-hop components (annotated via
-``note("fabric_hops")`` at inject). Conservation is structural, not
+hop schedule splits exactly into per-hop components. At inject the
+schedule is copied into the fabric's :class:`repro.net.fabric.HopLog`
+and a ``fabric_hops`` note points at its row; the note's dict is built
+only when the ledger is read. Conservation is structural, not
 reconciled after the fact.
 
 Per-pair FIFO survives end to end: each direction of a FabricWire is
@@ -138,21 +140,10 @@ class FabricWire:
         if transfer.dropped:
             self.dropped += 1
         if mid >= 0:
-            times = transfer.times
-            recorder.note(
-                mid,
-                "fabric_hops",
-                src=node,
-                dst=peer_node,
-                inject=transfer.inject,
-                arrival=transfer.arrival,
-                dropped=transfer.dropped,
-                drop_link=transfer.drop_link,
-                hops=[
-                    [link, t_in, t_out]
-                    for link, t_in, t_out in zip(transfer.route, times, times[1:])
-                ],
-            )
+            # The schedule goes into the fabric's hop log; the note
+            # points at its row and the dict is built on read.
+            hop_log = self.fabric.hop_log
+            recorder.note(mid, "fabric_hops", hop_log, hop_log.keep(mid, transfer))
 
     def receive(self, dst: str) -> Packet | None:
         """Pop the next *arrived* packet at ``dst`` (None when the
@@ -192,7 +183,6 @@ class FabricWire:
                 mid,
                 "staged",
                 transfer.arrival,
-                where="fabric",
-                hops=len(transfer.times) - 1,
+                ("where", "fabric", "hops", len(transfer.times) - 1),
             )
         return packet

@@ -6,19 +6,21 @@ Usage::
 
 Three invariants, each checked end-to-end and each a hard failure:
 
-* **determinism** — the same workload run twice produces identical
-  per-link reports (bytes, busy ticks, utilization) and the identical
-  elapsed tick count. The fabric has no hidden entropy source; any
-  divergence is a bug.
+* **determinism** — the same workload run twice delivers messages and
+  produces identical per-link reports (bytes, busy ticks, utilization)
+  and the identical elapsed tick count. The fabric has no hidden
+  entropy source; any divergence is a bug, and a run that delivered
+  nothing compared nothing.
 * **conservation** — every completed message's ledger wire phase is
   explained exactly by one fabric hop schedule: the per-hop durations
   telescope to ``arrival - inject`` and the phase opens/closes at
-  those ticks (``exact == checked`` on a clean run, zero drops).
+  those ticks (``exact == checked`` on a clean run, zero drops), read
+  off the fabric's hop log.
 * **congestion ordering** — a flow contending for a link observes
   strictly higher end-to-end latency than the same flow alone on the
   same route. Queuing delay must be visible, and only additive.
 
-Exit status 0 when all pass, 1 otherwise.
+Exit status 0 when all pass, 1 otherwise; 2 for a count below 1.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ import sys
 from repro.net.cluster import run_cluster
 from repro.net.fabric import Fabric
 from repro.net.topology import ring
+from repro.util.cli import positive
 
 __all__ = ["check_congestion_ordering", "check_determinism", "main", "run_selfcheck"]
 
 
 def check_determinism(ranks: int, rounds: int) -> tuple[bool, str]:
-    """Two identical runs must agree on every observable."""
+    """Two identical runs must deliver, and agree on every observable."""
     first = run_cluster("halo", ranks, topology="torus", rounds=rounds)
+    if not first.results["deliveries"]:
+        return False, f"no message delivered ({ranks} ranks, {rounds} rounds)"
     second = run_cluster("halo", ranks, topology="torus", rounds=rounds)
     if first.results["links"] != second.results["links"]:
         return False, "per-link reports differ between identical runs"
@@ -100,8 +105,8 @@ def run_selfcheck(*, ranks: int = 8, rounds: int = 3) -> list[tuple[str, bool, s
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--ranks", type=int, default=8)
-    parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--ranks", type=positive, default=8)
+    parser.add_argument("--rounds", type=positive, default=3)
     args = parser.parse_args(argv)
     checks = run_selfcheck(ranks=args.ranks, rounds=args.rounds)
     failed = 0

@@ -20,21 +20,27 @@ rollbacks, evictions); annotations are side-band events and never
 perturb the waterfall.
 
 **Columns while the run is on, records at export.** A stamp is on the
-per-packet path of every layer, so the recorder builds no object per
-message or per transition: per-mid lists indexed by mid (mids are
-dense, ``0..n-1``) hold what a record opened with and the row of its
-last transition and last note; a transition is one row across four
-flat columns (mid, ts, phase, and ``prev``, the row of the same mid's
-previous transition), with its detail dict, if any, beside them by
-row; notes are ``(mid, ts, name, detail, prev)`` rows of their own.
-The columns are allocated a block at a time, so a stamp is index
+per-packet path of every layer, so the recorder keeps numbers in typed
+columns (``array("q")`` / ``array("d")``) and names in lists of shared
+strings, and builds no object per message or per transition. Per-mid
+columns indexed by mid (mids are dense, ``0..n-1``) hold what a record
+opened with, its label and the rows of its last transition and last
+note; a transition is one row across five columns (mid, ts, phase,
+``prev`` — the row of the same mid's previous transition — and
+detail); a note is one row across six (mid, ts, name, detail, ``ref``,
+``prev``); a receive posting or completion is one row of the receive
+log. A detail is the flat tuple the layer built at the call site,
+``("path", "fast", "thread", 3)`` — the only object a stamp may leave
+behind — or, for a note, a source that keeps the detail itself and
+builds it on read (the fabric's hop log, for ``fabric_hops``). Every
+group of columns is allocated a block at a time, so a stamp is index
 stores. The unknown-mid test is ``0 <= mid < n`` (a foreign -1 never
 indexes from the end); the dedupe / post-complete / clamp rules read
 the record's last row; ``rewind`` walks ``prev`` back and blanks the
-rows it drops. :class:`MessageRecord` is the read model, built only by
-``export``, ``passport`` (one record), the ``records`` snapshot and
-``receives``; a whole-run fold (``ClusterSim.report``) reads
-:meth:`FlightRecorder.columns`.
+rows it drops. :class:`MessageRecord` and every dict are the read
+model, built only by ``export``, ``passport`` (one record), the
+``records`` snapshot and ``receives``; a whole-run fold
+(``ClusterSim.report``) reads :meth:`FlightRecorder.columns`.
 
 The recorder owns the run's simulated clock (:meth:`set_clock`): the
 chaos harness points it at the reliable wire's tick counter, the DPA
@@ -55,6 +61,7 @@ content-addressed cache like any other result.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -206,25 +213,59 @@ NO_ROW = -1
 NO_RECORD = -2
 
 
-class LedgerColumns(NamedTuple):
-    """The recorder's own containers, for a one-pass fold: read only.
+def _flat(fields: dict) -> tuple | None:
+    """Keyword detail as the flat ``(key, value, key, value, ...)``
+    tuple the ledger stores (``None`` for no detail)."""
+    return tuple(item for pair in fields.items() for item in pair) or None
 
-    Transition row ``i`` is ``mids[i]``, ``times[i]``, ``phases[i]`` and
-    ``prevs[i]`` (the mid's previous live row, or ``NO_ROW``), in stamp
-    order, and ``details[i]`` if it has a detail; a rewound row, like
-    the preallocated room past the last one, has mid ``NO_ROW``.
-    ``notes`` rows are ``(mid, ts, name, detail-or-None, prev)``.
-    ``tails[mid]`` is the mid's last live row, or ``NO_ROW`` /
-    ``NO_RECORD`` (which unassigned room reads as too).
+
+def _as_dict(detail: tuple | None) -> dict | None:
+    """A stored flat detail as the dict the read model carries."""
+    return dict(zip(detail[::2], detail[1::2])) if detail else None
+
+
+def _note_dict(detail: Any, ref: int) -> dict | None:
+    """A stored note detail as a dict: a flat detail, or (``ref`` of 0
+    or more) one its source keeps and builds on request."""
+    return detail.detail(ref) if ref >= 0 else _as_dict(detail)
+
+
+def _extend(block: int, *columns: tuple[Any, Any]) -> None:
+    """Add ``block`` entries of room to each ``(column, fill)``."""
+    for column, fill in columns:
+        unit = array(column.typecode, (fill,)) if isinstance(column, array) else [fill]
+        column.extend(unit * block)
+
+
+class LedgerColumns(NamedTuple):
+    """The recorder's own columns, for a one-pass fold: read only.
+
+    Transition row ``i`` is ``mids[i]``, ``times[i]``, ``phases[i]``,
+    ``prevs[i]`` (the mid's previous live row, or ``NO_ROW``) and
+    ``details[i]`` (a flat detail or ``None``), in stamp order; a
+    rewound row, like the preallocated room past the last one, has mid
+    ``NO_ROW``. Note row ``j`` is ``note_mids[j]``, ``note_times[j]``,
+    ``note_names[j]`` and its detail, which :meth:`note_detail` builds;
+    room past the last note has mid ``NO_ROW`` too. ``tails[mid]`` is
+    the mid's last live row, or ``NO_ROW`` / ``NO_RECORD`` (which
+    unassigned room reads as too).
     """
 
-    tails: list[int]
-    mids: list[int]
-    times: list[float]
+    tails: array
+    mids: array
+    times: array
     phases: list[str]
-    prevs: list[int]
-    details: dict[int, dict]
-    notes: list[tuple]
+    prevs: array
+    details: list[tuple | None]
+    note_mids: array
+    note_times: array
+    note_names: list[str]
+    note_details: list[Any]
+    note_refs: array
+
+    def note_detail(self, row: int) -> dict | None:
+        """Note row ``row``'s detail as a dict."""
+        return _note_dict(self.note_details[row], self.note_refs[row])
 
 
 class FlightRecorder:
@@ -234,6 +275,11 @@ class FlightRecorder:
     layer it instruments: attach the run's clock with
     :meth:`set_clock` before traffic starts. Without a clock all
     stamps read 0.0 (records still order correctly by insertion).
+
+    A layer attaches detail to a stamp or a note as one flat tuple,
+    ``("path", "fast", "thread", 3)``, built at the call site (a
+    constant one when the values are); keyword detail,
+    ``stamp(mid, "matched", path="fast")``, is stored the same way.
     """
 
     #: Class attribute so the disabled check never costs an instance
@@ -245,25 +291,44 @@ class FlightRecorder:
         #: Run-level events (host takeover, re-offload, recovery
         #: epochs) that belong to no single message.
         self.events: list[tuple[float, str, dict | None]] = []
-        # Per-mid columns and the transition columns are allocated a
-        # block at a time (see ``_grow``): writing one is an index store.
+        # Every group of columns is allocated a block at a time (the
+        # ``_grow_*`` methods): writing a row is index stores.
+        # Per mid: what a record opened with, its label, and the rows
+        # of its last transition and last note.
         self._next_mid = self._mid_capacity = 0
-        self._meta: list[tuple[int, int, int, str] | None] = []
-        self._tails: list[int] = []
-        self._note_tails: list[int] = []
+        self._tails = array("q")
+        self._note_tails = array("q")
+        self._sources = array("q")
+        self._tags = array("q")
+        self._sizes = array("q")
+        self._protocols: list[str] = []
+        self._label_of: list[str] = []
+        # Per transition.
         self._nrows = self._row_capacity = 0
-        self._mids: list[int] = []
-        self._times: list[float] = []
+        self._mids = array("q")
+        self._times = array("d")
         self._phases: list[str] = []
-        self._prevs: list[int] = []
-        self._details: dict[int, dict] = {}
-        self._notes: list[tuple] = []
-        self._nnotes = 0
-        self._label_of: dict[int, str] = {}
+        self._prevs = array("q")
+        self._details: list[tuple | None] = []
+        # Per note; ``_note_refs`` is -1 unless the detail is a source
+        # that builds it on request.
+        self._nnotes = self._note_capacity = 0
+        self._note_mids = array("q")
+        self._note_times = array("d")
+        self._note_names: list[str] = []
+        self._note_details: list[Any] = []
+        self._note_refs = array("q")
+        self._note_prevs = array("q")
         self._labels: dict[str, int] = {}
-        #: ``(handle, source, tag, ts)`` per posting, ``(handle, mid, ts)``
-        #: per completion, in call order.
-        self._receive_log: list[tuple] = []
+        # The receive log, in call order: a posting is (handle, source,
+        # tag, ts) with ``_recv_posts`` 1, a completion (handle, mid, ts)
+        # with 0.
+        self._nrecvs = self._recv_capacity = 0
+        self._recv_posts = bytearray()
+        self._recv_handles = array("q")
+        self._recv_source_or_mid = array("q")
+        self._recv_tags = array("q")
+        self._recv_times = array("d")
 
     # -- clock -----------------------------------------------------------
 
@@ -274,32 +339,58 @@ class FlightRecorder:
     def now(self) -> float:
         return float(self._clock())
 
-    # -- message lifecycle ----------------------------------------------
+    # -- room ------------------------------------------------------------
+    # Doubling, so a column is reallocated O(log n) times. Room reads as
+    # a mid with no record, a rewound row, and no note. The run keeps no
+    # object per row for the collector to count.
 
-    def _grow(self, per_row: bool) -> None:
-        """Double the per-mid (or the transition) columns. Preallocated
-        entries read as a mid with no record (or a rewound row), and the
-        run keeps no object per row for the collector to count."""
-        if per_row:
-            block = max(self._row_capacity, 1024)
-            self._mids += [NO_ROW] * block
-            self._times += [0.0] * block
-            self._phases += [""] * block
-            self._prevs += [NO_ROW] * block
-            self._row_capacity += block
-        else:
-            block = max(self._mid_capacity, 256)
-            self._meta += [None] * block
-            self._tails += [NO_RECORD] * block
-            self._note_tails += [NO_ROW] * block
-            self._mid_capacity += block
+    def _grow_mids(self) -> None:
+        block = max(self._mid_capacity, 256)
+        _extend(
+            block,
+            (self._tails, NO_RECORD), (self._note_tails, NO_ROW),
+            (self._sources, 0), (self._tags, 0), (self._sizes, 0),
+            (self._protocols, ""), (self._label_of, ""),
+        )
+        self._mid_capacity += block
+
+    def _grow_rows(self) -> None:
+        block = max(self._row_capacity, 1024)
+        _extend(
+            block,
+            (self._mids, NO_ROW), (self._times, 0.0), (self._phases, ""),
+            (self._prevs, NO_ROW), (self._details, None),
+        )
+        self._row_capacity += block
+
+    def _grow_notes(self) -> None:
+        block = max(self._note_capacity, 256)
+        _extend(
+            block,
+            (self._note_mids, NO_ROW), (self._note_times, 0.0),
+            (self._note_names, ""), (self._note_details, None),
+            (self._note_refs, NO_ROW), (self._note_prevs, NO_ROW),
+        )
+        self._note_capacity += block
+
+    def _grow_recvs(self) -> None:
+        block = max(self._recv_capacity, 256)
+        _extend(
+            block,
+            (self._recv_posts, 0), (self._recv_handles, 0),
+            (self._recv_source_or_mid, 0), (self._recv_tags, 0),
+            (self._recv_times, 0.0),
+        )
+        self._recv_capacity += block
+
+    # -- message lifecycle ----------------------------------------------
 
     def new_mid(self) -> int:
         """A fresh mid with no record behind it: stamps, notes and
         labels addressed to it are ignored, as for foreign traffic."""
         mid = self._next_mid
         if mid == self._mid_capacity:
-            self._grow(per_row=False)
+            self._grow_mids()
         self._next_mid = mid + 1
         return mid
 
@@ -313,12 +404,17 @@ class FlightRecorder:
     ) -> int:
         """Open a record (stamps the ``send`` transition); returns mid."""
         mid = self.new_mid()
-        self._meta[mid] = (source, tag, size, protocol)
+        self._sources[mid] = source
+        self._tags[mid] = tag
+        self._sizes[mid] = size
+        self._protocols[mid] = protocol
         self._tails[mid] = NO_ROW
         self.stamp(mid, "send")
         return mid
 
-    def stamp(self, mid: int, phase: str, **detail: Any) -> None:
+    def stamp(
+        self, mid: int, phase: str, detail: tuple | None = None, /, **fields: Any
+    ) -> None:
         """Record a phase transition.
 
         Unknown mids are ignored (a layer may see foreign traffic);
@@ -337,26 +433,33 @@ class FlightRecorder:
             last_phase = self._phases[prev]
             if last_phase == phase or last_phase == "complete":
                 return
-            ts = float(self._clock())  # read once, and only for a stamp that lands
+            ts = self._clock()  # read once, and only for a stamp that lands
             if ts < self._times[prev]:
                 ts = self._times[prev]
         elif prev == NO_ROW:
-            ts = float(self._clock())
+            ts = self._clock()
         else:
             return
         row = self._nrows
         if row == self._row_capacity:
-            self._grow(per_row=True)
+            self._grow_rows()
         self._nrows = row + 1
         self._mids[row] = mid
         self._times[row] = ts
         self._phases[row] = phase
         self._prevs[row] = prev
+        self._details[row] = _flat(fields) if fields else detail
         self._tails[mid] = row
-        if detail:
-            self._details[row] = detail
 
-    def stamp_at(self, mid: int, phase: str, ts: float, **detail: Any) -> None:
+    def stamp_at(
+        self,
+        mid: int,
+        phase: str,
+        ts: float,
+        detail: tuple | None = None,
+        /,
+        **fields: Any,
+    ) -> None:
         """Record a phase transition at an explicit timestamp.
 
         The fabric layer uses this to close a message's wire phase at
@@ -370,7 +473,6 @@ class FlightRecorder:
         prev = self._tails[mid]
         if prev == NO_RECORD:
             return
-        ts = float(ts)
         if prev >= 0:
             last_phase = self._phases[prev]
             if last_phase == phase:
@@ -381,15 +483,14 @@ class FlightRecorder:
                 ts = self._times[prev]
         row = self._nrows
         if row == self._row_capacity:
-            self._grow(per_row=True)
+            self._grow_rows()
         self._nrows = row + 1
         self._mids[row] = mid
         self._times[row] = ts
         self._phases[row] = phase
         self._prevs[row] = prev
+        self._details[row] = _flat(fields) if fields else detail
         self._tails[mid] = row
-        if detail:
-            self._details[row] = detail
 
     def phase_of(self, mid: int) -> str:
         """The phase ``mid`` currently occupies ("" when unknown)."""
@@ -402,14 +503,33 @@ class FlightRecorder:
     def complete(self, mid: int) -> None:
         self.stamp(mid, "complete")
 
-    def note(self, mid: int, name: str, **detail: Any) -> None:
-        """Attach a side-band annotation (never alters the waterfall)."""
-        if not 0 <= mid < self._next_mid or self._meta[mid] is None:
+    def note(
+        self,
+        mid: int,
+        name: str,
+        detail: Any = None,
+        ref: int = NO_ROW,
+        /,
+        **fields: Any,
+    ) -> None:
+        """Attach a side-band annotation (never alters the waterfall).
+
+        ``detail`` is a flat detail; or, with a ``ref`` of 0 or more, a
+        source that keeps the detail itself and builds it on read as
+        ``detail.detail(ref)`` (the fabric's hop log does)."""
+        if not 0 <= mid < self._next_mid or self._tails[mid] == NO_RECORD:
             return
-        prev = self._note_tails[mid]
-        self._note_tails[mid] = self._nnotes
-        self._nnotes += 1
-        self._notes.append((mid, float(self._clock()), name, detail or None, prev))
+        row = self._nnotes
+        if row == self._note_capacity:
+            self._grow_notes()
+        self._nnotes = row + 1
+        self._note_mids[row] = mid
+        self._note_times[row] = self._clock()
+        self._note_names[row] = name
+        self._note_details[row] = _flat(fields) if fields else detail
+        self._note_refs[row] = ref
+        self._note_prevs[row] = self._note_tails[mid]
+        self._note_tails[mid] = row
 
     def mark(self, mid: int) -> int:
         """Transition high-water mark, for speculative block attempts:
@@ -436,13 +556,13 @@ class FlightRecorder:
         row = self._tails[mid]
         for _ in range(count - mark):
             self._mids[row] = NO_ROW
-            self._details.pop(row, None)
+            self._details[row] = None
             row = self._prevs[row]
         self._tails[mid] = row
 
     def label(self, mid: int, ident: str) -> None:
         """Bind a human-readable identity (e.g. ``"rank:seq"``)."""
-        if not 0 <= mid < self._next_mid or self._meta[mid] is None:
+        if not 0 <= mid < self._next_mid or self._tails[mid] == NO_RECORD:
             return
         self._label_of[mid] = ident
         self._labels[ident] = mid
@@ -459,23 +579,31 @@ class FlightRecorder:
         """The columns themselves, read only, for a one-pass fold."""
         return LedgerColumns(
             self._tails, self._mids, self._times, self._phases, self._prevs,
-            self._details, self._notes,
+            self._details, self._note_mids, self._note_times,
+            self._note_names, self._note_details, self._note_refs,
         )
 
     def _record(self, mid: int) -> MessageRecord:
         """Build ``mid``'s read model by walking its two chains back."""
-        source, tag, size, protocol = self._meta[mid]  # type: ignore[misc]
-        rec = MessageRecord(mid, source=source, tag=tag, size=size,
-                            protocol=protocol, label=self._label_of.get(mid, ""))
+        rec = MessageRecord(
+            mid,
+            source=self._sources[mid],
+            tag=self._tags[mid],
+            size=self._sizes[mid],
+            protocol=self._protocols[mid],
+            label=self._label_of[mid],
+        )
         row = self._tails[mid]
         while row >= 0:
-            detail = self._details.get(row)
-            rec.transitions.append((self._times[row], self._phases[row], detail))
+            rec.transitions.append(
+                (self._times[row], self._phases[row], _as_dict(self._details[row]))
+            )
             row = self._prevs[row]
         row = self._note_tails[mid]
         while row >= 0:
-            _, ts, name, detail, row = self._notes[row]
-            rec.events.append((ts, name, detail))
+            detail = _note_dict(self._note_details[row], self._note_refs[row])
+            rec.events.append((self._note_times[row], self._note_names[row], detail))
+            row = self._note_prevs[row]
         rec.transitions.reverse()
         rec.events.reverse()
         return rec
@@ -483,17 +611,35 @@ class FlightRecorder:
     @property
     def records(self) -> dict[int, MessageRecord]:
         """A fresh snapshot of every record, by mid (mutating it leaves
-        the ledger alone; the detail dicts are shared, read only)."""
-        meta = self._meta[: self._next_mid]
-        return {mid: self._record(mid) for mid, m in enumerate(meta) if m is not None}
+        the ledger alone)."""
+        tails = self._tails
+        return {
+            mid: self._record(mid)
+            for mid in range(self._next_mid)
+            if tails[mid] != NO_RECORD
+        }
 
     # -- receive lifecycle ----------------------------------------------
 
     def open_receive(self, handle: int, *, source: int, tag: int) -> None:
-        self._receive_log.append((handle, source, tag, float(self._clock())))
+        row = self._nrecvs
+        if row == self._recv_capacity:
+            self._grow_recvs()
+        self._nrecvs = row + 1
+        self._recv_posts[row] = 1
+        self._recv_handles[row] = handle
+        self._recv_source_or_mid[row] = source
+        self._recv_tags[row] = tag
+        self._recv_times[row] = self._clock()
 
     def close_receive(self, handle: int, mid: int = -1) -> None:
-        self._receive_log.append((handle, mid, float(self._clock())))
+        row = self._nrecvs
+        if row == self._recv_capacity:
+            self._grow_recvs()
+        self._nrecvs = row + 1
+        self._recv_handles[row] = handle  # room reads as a completion
+        self._recv_source_or_mid[row] = mid
+        self._recv_times[row] = self._clock()
 
     @property
     def receives(self) -> list[dict]:
@@ -501,16 +647,17 @@ class FlightRecorder:
         completion closes its handle's oldest open row, if any."""
         rows: list[dict] = []
         waiting: dict[int, list[dict]] = {}
-        for entry in self._receive_log:
-            if len(entry) == 4:
-                handle, source, tag, posted = entry
-                row = {"handle": handle, "source": source, "tag": tag,
-                       "posted": posted, "completed": None, "mid": -1}
+        who, times = self._recv_source_or_mid, self._recv_times
+        for i in range(self._nrecvs):
+            handle = self._recv_handles[i]
+            if self._recv_posts[i]:
+                row = {"handle": handle, "source": who[i], "tag": self._recv_tags[i],
+                       "posted": times[i], "completed": None, "mid": -1}
                 waiting.setdefault(handle, []).append(row)
                 rows.append(row)
-            elif waiting.get(entry[0]):
-                row = waiting[entry[0]].pop(0)
-                _, row["mid"], row["completed"] = entry
+            elif waiting.get(handle):
+                row = waiting[handle].pop(0)
+                row["mid"], row["completed"] = who[i], times[i]
         return rows
 
     # -- run-level events ------------------------------------------------
@@ -575,7 +722,8 @@ class NullRecorder(FlightRecorder):
         return 0
 
     def columns(self) -> LedgerColumns:
-        return LedgerColumns([], [], [], [], [], {}, [])
+        """An empty recorder's columns."""
+        return FlightRecorder().columns()
 
     def export(self, scenario: str = "run") -> "LedgerDump":
         return LedgerDump()

@@ -123,7 +123,7 @@ class RdmaSender:
                 source=self.rank, tag=tag, size=size, protocol=protocol
             )
             if eager_eligible and not eager:
-                self.recorder.note(mid, "demoted", size=size)
+                self.recorder.note(mid, "demoted", ("size", size))
         # An eager message travels with its payload; a rendezvous one
         # registers it and sends the rkey in a header-only RTS ("might
         # include some message data", §IV-B; header-only here, for

@@ -194,7 +194,7 @@ class QueuePair:
                     where = "host" if host_data else (
                         "bounce" if bounce is not None else "inline"
                     )
-                    self.recorder.stamp(mid, "staged", where=where)
+                    self.recorder.stamp(mid, "staged", ("where", where))
                     self.recorder.stamp(mid, "cq")
                 self.cq.push(packet.opcode, StagedMessage(header, bounce, host_data))
             elif packet.opcode == "read_request":

@@ -246,7 +246,7 @@ class ReliableWire:
             mid = packet.payload[0].mid
             if mid >= 0:
                 self._psn_mids[src][psn] = mid
-                self._recorder.stamp(mid, "wire", psn=psn)
+                self._recorder.stamp(mid, "wire", ("psn", psn))
         self.raw.transmit(src, frame)
 
     def receive(self, dst: str) -> Packet | None:
@@ -307,7 +307,7 @@ class ReliableWire:
                 head = self._psn_mids[dst].get(tx.unacked[0][0], -1)
                 if head >= 0:
                     self._recorder.note(
-                        head, "rnr", wait=self.config.rnr_timeout
+                        head, "rnr", ("wait", self.config.rnr_timeout)
                     )
         else:
             raise ValueError(f"unknown reliability opcode {frame.opcode!r}")
@@ -383,7 +383,7 @@ class ReliableWire:
             if self._recorder.enabled:
                 head = self._psn_mids[src].get(tx.unacked[0][0], -1)
                 if head >= 0:
-                    self._recorder.note(head, "timeout", backoff_to=tx.timeout)
+                    self._recorder.note(head, "timeout", ("backoff_to", tx.timeout))
             self._retransmit_from(src, tx.unacked[0][0])
 
     def _retransmit_from(self, src: str, psn: int) -> None:
@@ -414,6 +414,6 @@ class ReliableWire:
                         # go-back-N round is actually recovering; every
                         # later frame rides the same retransmit chain.
                         self._recorder.note(
-                            mid, "retransmit", psn=unacked_psn, cause=cause
+                            mid, "retransmit", ("psn", unacked_psn, "cause", cause)
                         )
                 self.raw.transmit(src, frame)

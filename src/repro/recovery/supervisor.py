@@ -322,9 +322,7 @@ class Supervisor:
                     recorder.note(
                         mid,
                         "rollback",
-                        epoch=self.epoch,
-                        attempt=attempts,
-                        fault=fault.kind.value,
+                        ("epoch", self.epoch, "attempt", attempts, "fault", fault.kind.value),
                     )
                 if (
                     self.quarantine.count > policy.quarantine_threshold
@@ -371,17 +369,18 @@ class Supervisor:
 
     # -- the parked store ------------------------------------------------
 
-    def evict_oldest(self, **detail) -> MessageEnvelope | None:
+    def evict_oldest(self, detail: tuple | None = None) -> MessageEnvelope | None:
         """Park the engine's oldest unexpected message on the host.
         Eviction always takes the oldest resident entry, so everything
-        parked is strictly older than everything still resident."""
+        parked is strictly older than everything still resident.
+        ``detail`` is the ledger ``parked`` stamp's flat detail."""
         envelope = self.engine.evict_oldest_unexpected()
         if envelope is None:
             return None
         self.parked.append(envelope)
         self.meter.stats.evictions += 1
         if self.recorder.enabled:
-            self.recorder.stamp(envelope.mid, "parked", **detail)
+            self.recorder.stamp(envelope.mid, "parked", detail)
         return envelope
 
     def search_parked(self, request: ReceiveRequest) -> MessageEnvelope | None:

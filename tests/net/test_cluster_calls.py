@@ -14,10 +14,11 @@ path's cost where it is (docs/ARCHITECTURE.md, "what is resolved when"):
   one ``MatchEvent`` per matching decision.
 
 The ceiling on total calls per delivery is the backstop for everything
-not named: CPython 3.11 counts 322.8 here (338.0 before the engine's
-lookahead search, 366.9 before the columnar flight recorder, 479.4
-before the per-packet diet), and the ceiling is that plus 3 %; later
-interpreters inline more and count fewer.
+not named: CPython 3.11 counts 322.1 here (322.8 before the flight
+recorder's typed columns and the fabric's hop log, 338.0 before the
+engine's lookahead search, 366.9 before the columnar flight recorder,
+479.4 before the per-packet diet), and the ceiling is that plus 3 %;
+later interpreters inline more and count fewer.
 """
 
 import sys
@@ -28,7 +29,7 @@ from repro.rdma.wire import _scalar_checksum, control_frame
 RANKS = 16
 ROUNDS = 3
 #: ``call`` + ``c_call`` events per delivered message, set-up included.
-CALLS_PER_DELIVERY_CEILING = 332
+CALLS_PER_DELIVERY_CEILING = 331
 
 
 def _profiled_run():

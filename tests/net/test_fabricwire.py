@@ -1,7 +1,11 @@
 """FabricWire: the Wire contract, ledger coupling, reliability stack."""
 
+import json
+
+from repro.net.cluster import ClusterSim, cluster_workload
 from repro.net.fabric import Fabric
 from repro.net.fabricwire import FabricWire, fabric_mid_of
+from repro.net.faults import LinkFaultPlan
 from repro.net.topology import ring, torus2d
 from repro.obs.ledger import FlightRecorder
 from repro.rdma.reliability import ReliabilityConfig, ReliableWire
@@ -102,6 +106,72 @@ class TestLedgerCoupling:
         rec = recorder.records[mid]
         staged = [ts for ts, phase, _ in rec.transitions if phase == "staged"]
         assert staged == [float(transfers[0].arrival)]
+
+
+def fabric_hops_detail(transfer):
+    """The ``fabric_hops`` note's detail as ``FabricWire.transmit`` built
+    it from each injection's transfer when the note was a dict (its
+    ``node`` / ``peer_node`` are the transfer's ``src`` / ``dst``)."""
+    times = transfer.times
+    return dict(
+        src=transfer.src,
+        dst=transfer.dst,
+        inject=transfer.inject,
+        arrival=transfer.arrival,
+        dropped=transfer.dropped,
+        drop_link=transfer.drop_link,
+        hops=[
+            [link, t_in, t_out]
+            for link, t_in, t_out in zip(transfer.route, times, times[1:])
+        ],
+    )
+
+
+class TestFabricHopsNote:
+    #: A one-link flap that drops exactly one message-bearing packet of
+    #: this 4-rank halo; go-back-N delivers a retransmitted copy.
+    PLAN = LinkFaultPlan(seed=3, flap_links=1, flap_ticks=16, flap_horizon=64)
+
+    def test_notes_read_as_the_transfers_they_describe(self, monkeypatch):
+        injected = []
+        inject = Fabric.inject
+
+        def spy(self, src, dst, port, packet, size):
+            transfer = inject(self, src, dst, port, packet, size)
+            injected.append((packet, transfer))
+            return transfer
+
+        monkeypatch.setattr(Fabric, "inject", spy)
+        sim = ClusterSim(
+            cluster_workload("halo", 4, rounds=2), topology="torus", plan=self.PLAN
+        )
+        report = sim.run()
+        assert report.ok
+        assert report.results["conservation"]["recovered"] == 1
+        expected: dict[int, list[dict]] = {}
+        for (_, mid), transfer in injected:  # FabricWire injects (packet, mid)
+            if mid >= 0:
+                expected.setdefault(mid, []).append(fabric_hops_detail(transfer))
+        # The dropped copy stops short of its route; its retransmission lands.
+        [(victim, copies)] = [
+            (mid, copies) for mid, copies in expected.items()
+            if any(copy["dropped"] for copy in copies)
+        ]
+        lost, landed = copies
+        assert lost["dropped"] and lost["drop_link"]
+        assert len(lost["hops"]) < len(landed["hops"])
+        assert not landed["dropped"] and landed["drop_link"] == ""
+
+        exported = json.loads(sim.recorder.export("halo").to_json())
+        records = exported["scenarios"]["halo"]["records"]
+        assert {rec["mid"] for rec in records} == set(expected)
+        for rec in records:
+            noted = [d for _, name, d in rec["events"] if name == "fabric_hops"]
+            assert noted == expected[rec["mid"]], rec["label"]
+            passport = sim.recorder.passport(rec["label"])
+            noted = [d for _, name, d in passport["events"] if name == "fabric_hops"]
+            assert noted == expected[rec["mid"]], rec["label"]
+        assert len(expected[victim]) == 2
 
 
 class TestUnderReliability:

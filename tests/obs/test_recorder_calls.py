@@ -1,17 +1,19 @@
-"""Call-count and collector guard for the enabled flight recorder.
+"""Call-count, collector and retained-bytes guard for the enabled
+flight recorder.
 
-Counts, not timings — ``sys.setprofile`` events and collector-tracked
-objects — so the guard reads the same on any machine. The columnar
-recorder's rules (docs/ARCHITECTURE.md, "Message lifecycle"):
+Counts, not timings — ``sys.setprofile`` events, collector-tracked
+objects and ``tracemalloc`` bytes — so the guard reads the same on any
+machine. The columnar recorder's rules (docs/ARCHITECTURE.md, "Message
+lifecycle"):
 
 * **per stamp** the recorder writes one row into preallocated columns
-  and reads a few list entries: no ``MessageRecord``, no dict lookup by
-  mid, no object per row, and nothing on the stamp path reads a header
+  and reads a few entries: no ``MessageRecord``, no dict lookup by mid,
+  no object per row, and nothing on the stamp path reads a header
   through ``getattr``;
 * **at export** the per-message views are built — so a cluster run and
   its report build zero ``MessageRecord`` objects;
-* what the recorder keeps alive is its column lists, one note row per
-  note, and the detail dicts layers attach.
+* what the recorder keeps alive is its typed columns, the fabric's hop
+  log, and one flat detail tuple per stamp that carries detail.
 
 The ceilings are the CPython 3.11 counts plus a margin; later
 interpreters inline more and count fewer.
@@ -19,6 +21,7 @@ interpreters inline more and count fewer.
 
 import gc
 import sys
+import tracemalloc
 from collections import Counter
 
 from repro.chaos.harness import ChaosConfig, run_chaos
@@ -29,18 +32,27 @@ from repro.rdma.wire import _scalar_checksum, control_frame
 RANKS = 16
 ROUNDS = 3
 #: Recorder-on minus recorder-off ``call`` + ``c_call`` events per
-#: delivery of the 16-rank halo: 24.5 measured (53.5 with a record
-#: object per message), plus 10 %.
-RECORDER_CALLS_PER_DELIVERY_CEILING = 27.0
+#: delivery of the 16-rank halo: 23.7 measured (24.5 with a dict per
+#: detail and per ``fabric_hops`` note, 53.5 with a record object per
+#: message), plus 10 %.
+RECORDER_CALLS_PER_DELIVERY_CEILING = 26.1
 #: The chaos pipeline ``python -m repro.obs.overhead --ledger`` times.
 CHAOS = ChaosConfig(seed=3, rounds=6)
-#: Its recorder's extra events per message: 40.3 measured (65.3 with a
-#: record object per message).
-CHAOS_CALLS_PER_MESSAGE_CEILING = 44
-#: Collector-tracked objects its recorder leaves alive per message: 6.2
-#: measured (14.1 with a record object per message), the recorder's
-#: few column lists included.
-CHAOS_ALIVE_PER_MESSAGE_CEILING = 7
+#: Its recorder's extra events per message: 39.6 measured (40.4 with a
+#: dict per detail, 65.3 with a record object per message), plus 10 %.
+CHAOS_CALLS_PER_MESSAGE_CEILING = 43.5
+#: Collector-tracked objects its recorder leaves alive per message: 4.8
+#: measured (5.0 with a dict per detail, 14.1 with a record object per
+#: message), the recorder's few columns included, plus 10 %.
+CHAOS_ALIVE_PER_MESSAGE_CEILING = 5.3
+#: The halo whose retained bytes are guarded: 64 ranks, 3 rounds.
+MEMORY_RANKS = 64
+#: ``tracemalloc`` bytes still alive after a run, recorder on minus
+#: recorder off, per delivery of that halo: 1 128 measured on CPython
+#: 3.11.7 and 1 120 on 3.12.1 (2 523 and 2 515 with a dict per stamp
+#: detail, a ``fabric_hops`` dict with its hop lists per injection, and
+#: a tuple per note, receive-log entry and opened record), plus 10 %.
+RECORDER_BYTES_PER_DELIVERY_CEILING = 1240
 #: Where a header's mid is read on the enabled path: by attribute, never
 #: through ``getattr``.
 STAMP_PATH = {
@@ -130,3 +142,29 @@ def test_chaos_pipeline_recorder_leaves_few_tracked_objects():
     assert recorder.mark(0) > 0  # the recorder is alive and recorded
     per_message = (on - off) / report.sent
     assert per_message <= CHAOS_ALIVE_PER_MESSAGE_CEILING, per_message
+
+
+def test_cluster_recorder_keeps_few_bytes_per_delivery():
+    def retained(record: bool):
+        trace = cluster_workload("halo", MEMORY_RANKS, rounds=ROUNDS)
+        _scalar_checksum.cache_clear()
+        control_frame.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sim = ClusterSim(trace, topology="torus", record=record)
+            report = sim.run()
+            gc.collect()
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return size, report, sim
+
+    retained(record=True)  # warm the process-wide memos and interned names
+    on, report, sim = retained(record=True)
+    off, _, _ = retained(record=False)
+    deliveries = report.results["deliveries"]
+    assert report.ok and deliveries == MEMORY_RANKS * 4 * ROUNDS
+    assert sim.recorder.phase_of(0) == "complete"  # alive, and it recorded
+    per_delivery = (on - off) / deliveries
+    assert per_delivery <= RECORDER_BYTES_PER_DELIVERY_CEILING, per_delivery

@@ -160,8 +160,11 @@ class RecorderDifferential(RuleBasedStateMachine):
             if rec.transitions
         }
         noted: dict[int, list] = {}
-        for mid, ts, name, detail, _ in columns.notes:
-            noted.setdefault(mid, []).append((ts, name, detail))
+        for row, mid in enumerate(columns.note_mids):
+            if mid >= 0:
+                noted.setdefault(mid, []).append(
+                    (columns.note_times[row], columns.note_names[row], columns.note_detail(row))
+                )
         assert noted == {mid: rec.events for mid, rec in expected.items() if rec.events}
         assert self.new.receives == self.ref.receives
         assert self.new.events == self.ref.events
