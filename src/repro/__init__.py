@@ -28,29 +28,15 @@ Subpackages
     scenarios, CPU baselines).
 """
 
-from repro.core import (
-    ANY_SOURCE,
-    ANY_TAG,
-    EngineConfig,
-    MatchEvent,
-    MatchKind,
-    MessageEnvelope,
-    OptimisticMatcher,
-    ReceiveRequest,
-    ResolutionPath,
-)
+from repro.util.exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "EngineConfig",
-    "MatchEvent",
-    "MatchKind",
-    "MessageEnvelope",
-    "OptimisticMatcher",
-    "ReceiveRequest",
-    "ResolutionPath",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "core.constants": "ANY_SOURCE ANY_TAG",
+    "core.config": "EngineConfig",
+    "core.events": "MatchEvent MatchKind ResolutionPath",
+    "core.envelope": "MessageEnvelope ReceiveRequest",
+    "core.engine": "OptimisticMatcher",
+})
+__all__ += ["__version__"]

@@ -1,40 +1,10 @@
 """Figure 8 message-rate benchmark harness."""
 
-from repro.bench.apps import AppRate, app_message_rate
-from repro.bench.latency import LatencyDistribution, dpa_latencies, host_latencies
-from repro.bench.pingpong import (
-    PAPER_K,
-    PAPER_REPETITIONS,
-    PingPongBench,
-    RateResult,
-    format_figure8,
-    run_figure8,
-)
-from repro.bench.scenarios import (
-    PAPER_BINS,
-    PAPER_IN_FLIGHT,
-    PAPER_THREADS,
-    SCENARIOS,
-    Scenario,
-    scenario_by_name,
-)
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "AppRate",
-    "LatencyDistribution",
-    "PAPER_BINS",
-    "PAPER_IN_FLIGHT",
-    "PAPER_K",
-    "PAPER_REPETITIONS",
-    "PAPER_THREADS",
-    "PingPongBench",
-    "RateResult",
-    "SCENARIOS",
-    "Scenario",
-    "app_message_rate",
-    "dpa_latencies",
-    "format_figure8",
-    "host_latencies",
-    "run_figure8",
-    "scenario_by_name",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "apps": "AppRate app_message_rate",
+    "latency": "LatencyDistribution dpa_latencies host_latencies",
+    "pingpong": "PAPER_K PAPER_REPETITIONS PingPongBench RateResult format_figure8 run_figure8",
+    "scenarios": "PAPER_BINS PAPER_IN_FLIGHT PAPER_THREADS SCENARIOS Scenario scenario_by_name",
+})

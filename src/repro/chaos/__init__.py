@@ -14,6 +14,8 @@ runs any row, and ``repro-chaos <suite>`` (:mod:`repro.chaos.cli`) is
 its one front door.
 """
 
-from repro.chaos.harness import ChaosConfig, ChaosReport, run_chaos
+from repro.util.exports import lazy_exports
 
-__all__ = ["ChaosConfig", "ChaosReport", "run_chaos"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "harness": "ChaosConfig ChaosReport run_chaos",
+})

@@ -9,45 +9,16 @@ Public surface:
 * ``ANY_SOURCE`` / ``ANY_TAG`` — MPI wildcards
 """
 
-from repro.core.config import EngineConfig
-from repro.core.constants import ANY_SOURCE, ANY_TAG, WildcardClass, classify
-from repro.core.descriptor import DescriptorTable, DescriptorTableFull, ReceiveDescriptor
-from repro.core.engine import HintViolation, OptimisticMatcher
-from repro.core.envelope import InlineHashes, MessageEnvelope, ReceiveRequest
-from repro.core.events import MatchEvent, MatchKind, ResolutionPath
-from repro.core.hashing import compute_inline_hashes
-from repro.core.stats import BlockStats, EngineStats
-from repro.core.threadsim import (
-    DeadlockError,
-    RandomPolicy,
-    RoundRobinPolicy,
-    ScriptedPolicy,
-    SteppedExecutor,
-)
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "BlockStats",
-    "DeadlockError",
-    "DescriptorTable",
-    "DescriptorTableFull",
-    "EngineConfig",
-    "EngineStats",
-    "HintViolation",
-    "InlineHashes",
-    "MatchEvent",
-    "MatchKind",
-    "MessageEnvelope",
-    "OptimisticMatcher",
-    "RandomPolicy",
-    "ReceiveDescriptor",
-    "ReceiveRequest",
-    "ResolutionPath",
-    "RoundRobinPolicy",
-    "ScriptedPolicy",
-    "SteppedExecutor",
-    "WildcardClass",
-    "classify",
-    "compute_inline_hashes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "config": "EngineConfig",
+    "constants": "ANY_SOURCE ANY_TAG WildcardClass classify",
+    "descriptor": "DescriptorTable DescriptorTableFull ReceiveDescriptor",
+    "engine": "HintViolation OptimisticMatcher",
+    "envelope": "InlineHashes MessageEnvelope ReceiveRequest",
+    "events": "MatchEvent MatchKind ResolutionPath",
+    "hashing": "compute_inline_hashes",
+    "stats": "BlockStats EngineStats",
+    "threadsim": "DeadlockError RandomPolicy RoundRobinPolicy ScriptedPolicy SteppedExecutor",
+})

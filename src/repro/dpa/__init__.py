@@ -8,23 +8,12 @@
 * :class:`StridedPoller` — the §IV-A completion-queue discipline
 """
 
-from repro.dpa.completion import StridedPoller
-from repro.dpa.costs import DpaCostModel, HostCostModel, WireModel
-from repro.dpa.machine import BF3_CORES, BF3_THREADS, DpaMachine, DpaRunReport
-from repro.dpa.memory import BYTES_PER_BIN, INDEX_TABLES, MemoryModel
-from repro.dpa.pipeline import OffloadedEndpoint
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "BF3_CORES",
-    "BF3_THREADS",
-    "BYTES_PER_BIN",
-    "DpaCostModel",
-    "DpaMachine",
-    "DpaRunReport",
-    "HostCostModel",
-    "INDEX_TABLES",
-    "MemoryModel",
-    "OffloadedEndpoint",
-    "StridedPoller",
-    "WireModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "completion": "StridedPoller",
+    "costs": "DpaCostModel HostCostModel WireModel",
+    "machine": "BF3_CORES BF3_THREADS DpaMachine DpaRunReport",
+    "memory": "BYTES_PER_BIN INDEX_TABLES MemoryModel",
+    "pipeline": "OffloadedEndpoint",
+})

@@ -21,21 +21,12 @@ result — executed or loaded from cache — passes through the same JSON
 codec, so a warm rerun is byte-identical to a cold one.
 """
 
-from __future__ import annotations
+from repro.util.exports import lazy_exports
 
-from repro.fleet.cache import ResultCache
-from repro.fleet.job import JobSpec
-from repro.fleet.kinds import register_kind
-from repro.fleet.report import FleetReport
-from repro.fleet.scheduler import FleetError, FleetRun, JobOutcome, run_jobs
-
-__all__ = [
-    "FleetError",
-    "FleetReport",
-    "FleetRun",
-    "JobOutcome",
-    "JobSpec",
-    "ResultCache",
-    "register_kind",
-    "run_jobs",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": "ResultCache",
+    "job": "JobSpec",
+    "kinds": "register_kind",
+    "report": "FleetReport",
+    "scheduler": "FleetError FleetRun JobOutcome run_jobs",
+})

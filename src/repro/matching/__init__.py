@@ -12,46 +12,17 @@
   against the reference semantics
 """
 
-from repro.matching.adaptive import AdaptiveMatcher
-from repro.matching.base import Matcher, MatcherCosts
-from repro.matching.bin_matcher import BinMatcher
-from repro.matching.channel_matcher import ChannelMatcher, ChannelSemanticsError
-from repro.matching.fallback import FallbackMatcher
-from repro.matching.list_matcher import ListMatcher
-from repro.matching.optimistic_adapter import OptimisticAdapter
-from repro.matching.oracle import (
-    StreamOp,
-    ValidationError,
-    check_c2,
-    cross_validate,
-    pairings,
-    run_stream,
-)
-from repro.matching.rank_matcher import RankMatcher
-from repro.matching.threaded_host import (
-    ContentionModel,
-    ThreadedHostResult,
-    simulate_threaded_host,
-)
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "AdaptiveMatcher",
-    "BinMatcher",
-    "ChannelMatcher",
-    "ChannelSemanticsError",
-    "FallbackMatcher",
-    "ListMatcher",
-    "Matcher",
-    "MatcherCosts",
-    "OptimisticAdapter",
-    "RankMatcher",
-    "ContentionModel",
-    "ThreadedHostResult",
-    "simulate_threaded_host",
-    "StreamOp",
-    "ValidationError",
-    "check_c2",
-    "cross_validate",
-    "pairings",
-    "run_stream",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "adaptive": "AdaptiveMatcher",
+    "base": "Matcher MatcherCosts",
+    "bin_matcher": "BinMatcher",
+    "channel_matcher": "ChannelMatcher ChannelSemanticsError",
+    "fallback": "FallbackMatcher",
+    "list_matcher": "ListMatcher",
+    "optimistic_adapter": "OptimisticAdapter",
+    "oracle": "StreamOp ValidationError check_c2 cross_validate pairings run_stream",
+    "rank_matcher": "RankMatcher",
+    "threaded_host": "ContentionModel ThreadedHostResult simulate_threaded_host",
+})

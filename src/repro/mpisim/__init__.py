@@ -7,23 +7,12 @@
 * :mod:`repro.mpisim.collectives` — flat collectives built on p2p
 """
 
-from repro.mpisim.collectives import alltoall, barrier, bcast, gather
-from repro.mpisim.communicator import Communicator, CommunicatorInfo
-from repro.mpisim.recorder import RecordingSim
-from repro.mpisim.request import Request, RequestKind, Status
-from repro.mpisim.runtime import MpiSim, ProgressStall
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "Communicator",
-    "CommunicatorInfo",
-    "MpiSim",
-    "ProgressStall",
-    "RecordingSim",
-    "Request",
-    "RequestKind",
-    "Status",
-    "alltoall",
-    "barrier",
-    "bcast",
-    "gather",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "collectives": "alltoall barrier bcast gather",
+    "communicator": "Communicator CommunicatorInfo",
+    "recorder": "RecordingSim",
+    "request": "Request RequestKind Status",
+    "runtime": "MpiSim ProgressStall",
+})

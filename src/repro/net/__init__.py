@@ -10,24 +10,13 @@ fabric. :class:`repro.net.cluster.ClusterSim` drives synthetic app
 traces end-to-end across N simulated nodes through that stack.
 """
 
-from repro.net.fabric import Fabric, LinkStats, Transfer
-from repro.net.fabricwire import FabricWire
-from repro.net.faults import LinkFaultPlan
-from repro.net.placement import Placement
-from repro.net.routing import RouteTable
-from repro.net.topology import Topology, fat_tree, ring, topology_by_name, torus2d
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "Fabric",
-    "FabricWire",
-    "LinkFaultPlan",
-    "LinkStats",
-    "Placement",
-    "RouteTable",
-    "Topology",
-    "Transfer",
-    "fat_tree",
-    "ring",
-    "topology_by_name",
-    "torus2d",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "fabric": "Fabric LinkStats Transfer",
+    "fabricwire": "FabricWire",
+    "faults": "LinkFaultPlan",
+    "placement": "Placement",
+    "routing": "RouteTable",
+    "topology": "Topology fat_tree ring topology_by_name torus2d",
+})

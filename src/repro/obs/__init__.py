@@ -30,96 +30,26 @@ Adapters for the existing stack live in :mod:`repro.obs.hooks`;
 terminal and ``python -m repro.obs.validate`` checks emitted traces.
 """
 
-from repro.obs.hooks import (
-    DegradedWindowWatcher,
-    EngineTraceObserver,
-    attach_engine_observer,
-    register_stack_metrics,
-)
-from repro.obs.health import (
-    DriftRule,
-    HealthEvent,
-    HealthMonitor,
-    HealthReport,
-    HealthRule,
-    RateRule,
-    Severity,
-    ThresholdRule,
-    default_rules,
-)
-from repro.obs.ledger import (
-    NULL_RECORDER,
-    FlightRecorder,
-    LedgerDump,
-    MessageRecord,
-    NullRecorder,
-)
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
-# NOTE: the ``probe`` decorator is deliberately *not* re-exported here —
-# the package attribute must keep naming the ``repro.obs.probe`` submodule
-# (``from repro.obs import probe``); import the decorator from there.
-from repro.obs.probe import subscribe, subscribed
-from repro.obs.timeline import (
-    NULL_SAMPLER,
-    NullSampler,
-    Timeline,
-    TimelineSampler,
-    TimeSeries,
-    install_stack_probes,
-    timeline_to_chrome,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    ScopedTracer,
-    SpanTracer,
-    mpi_trace_to_chrome,
-)
-from repro.obs.validate import validate_chrome_trace
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "SpanTracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "ScopedTracer",
-    "mpi_trace_to_chrome",
-    "subscribe",
-    "subscribed",
-    "validate_chrome_trace",
-    "EngineTraceObserver",
-    "attach_engine_observer",
-    "DegradedWindowWatcher",
-    "register_stack_metrics",
-    "FlightRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
-    "MessageRecord",
-    "LedgerDump",
-    "TimeSeries",
-    "Timeline",
-    "TimelineSampler",
-    "NullSampler",
-    "NULL_SAMPLER",
-    "install_stack_probes",
-    "timeline_to_chrome",
-    "HealthEvent",
-    "HealthMonitor",
-    "HealthReport",
-    "HealthRule",
-    "ThresholdRule",
-    "RateRule",
-    "DriftRule",
-    "Severity",
-    "default_rules",
-]
+# The ``probe`` decorator is deliberately *not* re-exported: the package
+# attribute must keep naming the ``repro.obs.probe`` submodule
+# (``from repro.obs import probe``); import the decorator from there.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "hooks": (
+        "DegradedWindowWatcher EngineTraceObserver attach_engine_observer register_stack_metrics"
+    ),
+    "health": (
+        "DriftRule HealthEvent HealthMonitor HealthReport HealthRule RateRule Severity "
+        "ThresholdRule default_rules"
+    ),
+    "ledger": "FlightRecorder LedgerDump MessageRecord NULL_RECORDER NullRecorder",
+    "registry": "Counter Gauge Histogram MetricsRegistry MetricsSnapshot",
+    "probe": "subscribe subscribed",
+    "timeline": (
+        "NULL_SAMPLER NullSampler TimeSeries Timeline TimelineSampler install_stack_probes "
+        "timeline_to_chrome"
+    ),
+    "trace": "NULL_TRACER NullTracer ScopedTracer SpanTracer mpi_trace_to_chrome",
+    "validate": "validate_chrome_trace",
+})

@@ -10,22 +10,12 @@ demote to rendezvous, cold unexpected entries evict to the host, and
 sustained pressure escalates to a full software takeover.
 """
 
-from repro.pressure.budget import (
-    BudgetOverrun,
-    PressureBudget,
-    PressureMeter,
-    PressureState,
-    PressureStats,
-    UNEXPECTED_HEADER_BYTES,
-)
-from repro.pressure.controller import PressuredPipeline
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "BudgetOverrun",
-    "PressureBudget",
-    "PressureMeter",
-    "PressureState",
-    "PressureStats",
-    "PressuredPipeline",
-    "UNEXPECTED_HEADER_BYTES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "budget": (
+        "BudgetOverrun PressureBudget PressureMeter PressureState PressureStats "
+        "UNEXPECTED_HEADER_BYTES"
+    ),
+    "controller": "PressuredPipeline",
+})

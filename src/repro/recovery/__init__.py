@@ -24,44 +24,16 @@ the accelerator's **compute** a fault domain too:
   :class:`MatchingWatchdog` for matchers.
 """
 
-from repro.recovery.faults import (
-    BitFlipDetected,
-    CoreFailStop,
-    CoreFault,
-    CoreFaultInjector,
-    CoreFaultKind,
-    CoreFaultPlan,
-    CoreFaultStats,
-)
-from repro.recovery.journal import (
-    BlockCheckpoint,
-    checkpoint_engine,
-    host_takeover,
-    restore_engine,
-)
-from repro.recovery.quarantine import CoreQuarantine, RecoveryPolicy
-from repro.recovery.recoverer import RecoveringMatcher
-from repro.recovery.supervisor import RecoveryStats, Supervisor
-from repro.recovery.watchdog import MatchingWatchdog, PairingOracle, WatchdogAlert
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "BitFlipDetected",
-    "BlockCheckpoint",
-    "CoreFailStop",
-    "CoreFault",
-    "CoreFaultInjector",
-    "CoreFaultKind",
-    "CoreFaultPlan",
-    "CoreFaultStats",
-    "CoreQuarantine",
-    "MatchingWatchdog",
-    "PairingOracle",
-    "RecoveringMatcher",
-    "RecoveryPolicy",
-    "RecoveryStats",
-    "Supervisor",
-    "WatchdogAlert",
-    "checkpoint_engine",
-    "host_takeover",
-    "restore_engine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "faults": (
+        "BitFlipDetected CoreFailStop CoreFault CoreFaultInjector CoreFaultKind CoreFaultPlan "
+        "CoreFaultStats"
+    ),
+    "journal": "BlockCheckpoint checkpoint_engine host_takeover restore_engine",
+    "quarantine": "CoreQuarantine RecoveryPolicy",
+    "recoverer": "RecoveringMatcher",
+    "supervisor": "RecoveryStats Supervisor",
+    "watchdog": "MatchingWatchdog PairingOracle WatchdogAlert",
+})

@@ -10,39 +10,15 @@ resilience.repair`), and the resilient BSP driver that ties them
 together (:mod:`repro.resilience.cluster`).
 """
 
-from repro.resilience.cluster import (
-    RESILIENCE_APPS,
-    ResilienceReport,
-    ResilientClusterSim,
-    resilience_round,
-    run_resilient,
-)
-from repro.resilience.errors import RankFailedError
-from repro.resilience.faults import RankFaultInjector, RankFaultPlan
-from repro.resilience.heartbeat import HeartbeatConfig, HeartbeatNetwork
-from repro.resilience.repair import RepairDecision, agree
-from repro.resilience.snapshot import (
-    RankSnapshot,
-    WorldCheckpoint,
-    restore_rank,
-    snapshot_rank,
-)
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "RESILIENCE_APPS",
-    "HeartbeatConfig",
-    "HeartbeatNetwork",
-    "RankFailedError",
-    "RankFaultInjector",
-    "RankFaultPlan",
-    "RankSnapshot",
-    "RepairDecision",
-    "ResilienceReport",
-    "ResilientClusterSim",
-    "WorldCheckpoint",
-    "agree",
-    "resilience_round",
-    "restore_rank",
-    "run_resilient",
-    "snapshot_rank",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cluster": (
+        "RESILIENCE_APPS ResilienceReport ResilientClusterSim resilience_round run_resilient"
+    ),
+    "errors": "RankFailedError",
+    "faults": "RankFaultInjector RankFaultPlan",
+    "heartbeat": "HeartbeatConfig HeartbeatNetwork",
+    "repair": "RepairDecision agree",
+    "snapshot": "RankSnapshot WorldCheckpoint restore_rank snapshot_rank",
+})

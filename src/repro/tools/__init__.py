@@ -1,5 +1,7 @@
 """Operator tools: one-shot regeneration of every paper element."""
 
-from repro.tools.reproduce import reproduce_all, write_report
+from repro.util.exports import lazy_exports
 
-__all__ = ["reproduce_all", "write_report"]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "reproduce": "reproduce_all write_report",
+})

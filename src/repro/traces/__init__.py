@@ -1,30 +1,10 @@
 """Trace infrastructure: model, DUMPI parsing, caching, synthesis."""
 
-from repro.traces.cache import load_cached, store_cache
-from repro.traces.dumpi import (
-    TraceParseError,
-    format_rank_trace,
-    parse_rank_file,
-    parse_rank_text,
-    write_rank_file,
-)
-from repro.traces.model import OpGroup, OpKind, RankTrace, Trace, TraceOp
-from repro.traces.reader import load_trace, rank_file_name, save_trace
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "OpGroup",
-    "OpKind",
-    "RankTrace",
-    "Trace",
-    "TraceOp",
-    "TraceParseError",
-    "format_rank_trace",
-    "load_cached",
-    "load_trace",
-    "parse_rank_file",
-    "parse_rank_text",
-    "rank_file_name",
-    "save_trace",
-    "store_cache",
-    "write_rank_file",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "cache": "load_cached store_cache",
+    "dumpi": "TraceParseError format_rank_trace parse_rank_file parse_rank_text write_rank_file",
+    "model": "OpGroup OpKind RankTrace Trace TraceOp",
+    "reader": "load_trace rank_file_name save_trace",
+})

@@ -7,18 +7,12 @@ simulator, the baseline matchers, and the trace analyzer can reuse
 them without depending on each other.
 """
 
-from repro.util.bitmap import Bitmap
-from repro.util.counters import MonotonicCounter, SequenceLabeler
-from repro.util.intrusive import IntrusiveList, IntrusiveNode
-from repro.util.rng import make_rng
-from repro.util.slotpool import SlotPool
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "Bitmap",
-    "MonotonicCounter",
-    "SequenceLabeler",
-    "IntrusiveList",
-    "IntrusiveNode",
-    "SlotPool",
-    "make_rng",
-]
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "bitmap": "Bitmap",
+    "counters": "MonotonicCounter SequenceLabeler",
+    "intrusive": "IntrusiveList IntrusiveNode",
+    "rng": "make_rng",
+    "slotpool": "SlotPool",
+})

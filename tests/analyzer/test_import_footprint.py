@@ -19,7 +19,10 @@ front door may load a process pool (``multiprocessing`` or
 where a seeded stream is drawn or a percentile is taken: the Fig. 8
 ping-pong, the cluster halo, the engine and the RDMA protocol import
 none of it, and the ping-pong and halo runs give the same results with
-numpy blocked, while ``make_rng`` still needs it.
+numpy blocked, while ``make_rng`` still needs it. Package ``__init__``s
+resolve their names on first use, so importing every package loads no
+other module (but the trace generator's), and the ping-pong, the Fig. 7
+sweep and the cluster halo each leave the layers they never call unloaded.
 """
 
 import json
@@ -126,15 +129,25 @@ _WITNESS = """
 import importlib, json, os, sys, traceback
 
 PKG = f"{os.sep}repro{os.sep}"
+HELPER = os.path.join("repro", "util", "exports.py")
 culprits = {}
+
+
+# The repro frame that asked for the import; the lazy-export helper only
+# relays a name's first use, so its frames are skipped.
+def culprit():
+    ours = [
+        f for f in traceback.extract_stack()
+        if PKG in f.filename and not f.filename.endswith(HELPER)
+    ]
+    return f"{ours[-1].filename}:{ours[-1].lineno}" if ours else "?"
 
 
 class Witness:
     def find_spec(self, name, path=None, target=None):
         hit = next((p for p in FORBIDDEN if name == p or name.startswith(p + ".")), None)
         if hit is not None and hit not in culprits:
-            ours = [f for f in traceback.extract_stack() if PKG in f.filename]
-            culprits[hit] = f"{ours[-1].filename}:{ours[-1].lineno}" if ours else "?"
+            culprits[hit] = culprit()
         return None
 """
 
@@ -146,14 +159,28 @@ print(json.dumps(culprits))
 
 _POOLS = ("multiprocessing", "concurrent.futures")
 _SIMULATOR = (*_POOLS, "numpy")
+# Package ``__init__``s import nothing until a name is used, so each front
+# door loads only the layers it runs: the Fig. 8 ping-pong drives the engine
+# and the DPA cost model, the Fig. 7 sweep replays traces without any
+# matcher, and the cluster halo runs RDMA over the fabric without the DPA.
+_UNUSED_BY_PINGPONG = (
+    "repro.recovery", "repro.rdma", "repro.traces",
+    "repro.dpa.machine", "repro.obs.ledger", "repro.obs.validate",
+)
+_UNUSED_BY_SWEEP = (
+    "repro.core.engine", "repro.dpa.machine", "repro.recovery", "repro.rdma", "repro.matching",
+)
+_UNUSED_BY_CLUSTER = (
+    "repro.dpa", "repro.recovery", "repro.matching", "repro.obs.health", "repro.obs.validate",
+)
 
 
 @pytest.mark.parametrize(
     "module, forbidden",
     [
-        ("repro.bench.pingpong", _SIMULATOR),
-        ("repro.net.cluster", _SIMULATOR),
-        ("repro.analyzer.sweep", _POOLS),
+        ("repro.bench.pingpong", (*_SIMULATOR, *_UNUSED_BY_PINGPONG)),
+        ("repro.net.cluster", (*_SIMULATOR, *_UNUSED_BY_CLUSTER)),
+        ("repro.analyzer.sweep", (*_POOLS, *_UNUSED_BY_SWEEP)),
         ("repro.chaos.cli", _POOLS),
         ("repro.traces", ("repro.fleet",)),
         ("repro.core.engine", _SIMULATOR),
@@ -213,3 +240,40 @@ def test_pingpong_and_halo_run_without_numpy():
         assert blocked[run] == unblocked[run], run
     assert blocked["make_rng"] == "ImportError"
     assert unblocked["make_rng"] == make_rng(0).integers(0, 1 << 30, size=2).tolist()
+
+
+_PACKAGES_PROBE = _WITNESS + """
+GENERATOR = os.path.join("repro", "traces", "synthetic", "apps.py")
+
+
+class AnyModule:
+    def find_spec(self, name, path=None, target=None):
+        if (name == "repro" or name.startswith("repro.")) and name not in ALLOWED:
+            if not any(f.filename.endswith(GENERATOR) for f in traceback.extract_stack()):
+                culprits.setdefault(name, culprit())
+        return None
+
+
+sys.meta_path.insert(0, AnyModule())
+for package in PACKAGES:
+    importlib.import_module(package)
+print(json.dumps(culprits))
+"""
+
+
+def test_importing_every_package_loads_no_module():
+    """One fresh interpreter imports all the packages and loads no other
+    ``repro`` module but the lazy-export helper: a package's names load
+    their defining modules on first use, not on ``import``. The one
+    exception is ``repro.traces.synthetic.generate`` (and what its module
+    imports), which the wall-clock benchmark's tracer wraps in place."""
+    root = Path(repro.__file__).resolve().parent
+    packages = sorted(
+        ".".join(("repro", *init.parent.relative_to(root).parts))
+        for init in root.rglob("__init__.py")
+    )
+    assert len(packages) == 19, packages
+    allowed = (*packages, "repro.util.exports", "repro.traces.synthetic.apps")
+    loaded = _fresh(f"PACKAGES = {packages!r}\nALLOWED = {allowed!r}\n{_PACKAGES_PROBE}")
+    direct = {name: at for name, at in loaded.items() if "__init__.py:" in at}
+    assert loaded == {}, f"{len(loaded)} modules loaded, by package __init__s: {direct or loaded}"
