@@ -1,42 +1,28 @@
 """Figure 7 companion — the artifact's full 1..256 powers-of-two bin
-sweep (6 configurations per application), as the A2 artifact emits.
+sweep (6 configurations per application).
 """
 
-from repro.analyzer import BIN_SWEEP, export_artifact, load_summary
+from repro.analyzer import BIN_SWEEP, sweep_applications
+
+NAMES = ["BoxLib CNS", "LULESH", "AMG", "SNAP"]
 
 
-def test_full_bin_sweep_artifact(benchmark, tmp_path):
-    out = benchmark.pedantic(
-        export_artifact,
-        args=(tmp_path / "artifact",),
-        kwargs=dict(rounds=3, names=["BoxLib CNS", "LULESH", "AMG", "SNAP"]),
+def test_full_bin_sweep(benchmark):
+    results = benchmark.pedantic(
+        sweep_applications,
+        kwargs=dict(bins_list=BIN_SWEEP, rounds=3, names=NAMES),
         rounds=1,
         iterations=1,
     )
-    summary = load_summary(out)
-    assert set(summary) == {"BoxLib CNS", "LULESH", "AMG", "SNAP"}
-    for name, per_bins in summary.items():
-        assert sorted(int(b) for b in per_bins) == sorted(BIN_SWEEP)
-        depths = [per_bins[str(b)]["mean_depth"] for b in sorted(BIN_SWEEP)]
+    assert set(results) == set(NAMES)
+    for name, per_bins in results.items():
+        assert sorted(per_bins) == sorted(BIN_SWEEP)
+        depths = [per_bins[b].depth.mean_depth for b in sorted(BIN_SWEEP)]
         # Largely monotone decreasing; allow small jitter between
         # adjacent large-bin configs where depth is already ~0.
         assert depths[0] >= depths[-1], name
         assert depths[0] >= max(depths[1:]) * 0.99, name
         # Empty-bin fraction grows with bin count at the fullest
         # moment (same keys, more buckets).
-        empties = [per_bins[str(b)]["mean_empty_fraction"] for b in sorted(BIN_SWEEP)]
+        empties = [per_bins[b].depth.mean_empty_fraction for b in sorted(BIN_SWEEP)]
         assert empties[-1] >= empties[0], name
-
-
-def test_artifact_files_on_disk(benchmark, tmp_path):
-    def export():
-        return export_artifact(tmp_path / "a", rounds=2, names=["MOCFE"])
-
-    out = benchmark.pedantic(export, rounds=1, iterations=1)
-    for bins in BIN_SWEEP:
-        assert (out / "MOCFE" / str(bins) / "stats.json").exists()
-        assert (out / "MOCFE" / str(bins) / "datapoints.csv").exists()
-        assert (out / "MOCFE" / str(bins) / "tag_usage.csv").exists()
-    csv = (out / "MOCFE" / "1" / "datapoints.csv").read_text().splitlines()
-    assert csv[0].startswith("rank,walltime,max_depth")
-    assert len(csv) > 1

@@ -4,17 +4,15 @@
 Sixteen ranks run the 2-D halo workload end-to-end through the full
 RDMA stack (queue pairs, reliability, eager/rendezvous) — but every
 byte crosses a shared network: a 2x2 torus of hosts, four ranks per
-host, flows contending for links. The example then asks the analyzer
-where the ranks *should* live: the commgraph-driven recommender
-scores block / round-robin / greedy placements by routed message
-volume, and the run is repeated under the recommendation to show the
-congestion difference on the wire.
+host, flows contending for links. The run is repeated under each
+baseline placement (block keeps halo neighbours on one host,
+round-robin scatters them) to show what placement costs on the wire.
 
 Run:  python examples/cluster_halo.py
 """
 
-from repro.analyzer.placement import recommend_placement
 from repro.net.cluster import ClusterSim, cluster_workload
+from repro.net.placement import PLACEMENT_SCHEMES
 from repro.net.topology import torus2d
 
 
@@ -37,23 +35,15 @@ def main():
     trace = cluster_workload("halo", 16, rounds=3, size=2048)
     topology = torus2d(2, 2)  # 4 hosts for 16 ranks: placement matters
 
-    baseline = ClusterSim(trace, topology=topology, placement="block").run()
-    describe("block", baseline)
+    elapsed = {}
+    for scheme in PLACEMENT_SCHEMES:
+        report = ClusterSim(trace, topology=topology, placement=scheme).run()
+        describe(scheme, report)
+        elapsed[scheme] = report.results["elapsed_ticks"]
 
-    rec = recommend_placement(trace, topology)
-    print(f"\nrecommender: {rec.scheme} "
-          f"(routed volume {rec.costs[rec.scheme]:.0f} vs "
-          f"block {rec.costs['block']:.0f}, "
-          f"{rec.improvement_over_block:.0%} less)")
-    for scheme, cost in sorted(rec.costs.items(), key=lambda kv: kv[1]):
-        print(f"  {scheme:>12}: {cost:.0f} message-hops")
-
-    tuned = ClusterSim(trace, topology=topology, placement=rec.placement).run()
-    describe(rec.scheme, tuned)
-
-    saved = baseline.results["elapsed_ticks"] - tuned.results["elapsed_ticks"]
-    print(f"\nplacement saved {saved} ticks of makespan "
-          f"({saved / baseline.results['elapsed_ticks']:.0%}); every message "
+    saved = elapsed["round_robin"] - elapsed["block"]
+    print(f"\nblock placement saved {saved} ticks of makespan "
+          f"({saved / elapsed['round_robin']:.0%}) over round-robin; every message "
           "delivered in order, per-hop wire time conserved exactly.")
 
 

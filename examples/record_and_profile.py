@@ -3,8 +3,8 @@
 
 The full tooling loop in one script: write a small MPI program
 against the simulated runtime, *record* its execution as a DUMPI-style
-trace, feed that trace to the analyzer for the complete matching
-profile, and emit the observability artifacts — a Perfetto-loadable
+trace, feed that trace to the analyzer for its queue depth at each
+bin count, and emit the observability artifacts — a Perfetto-loadable
 Chrome trace of the run in virtual walltime plus an ASCII metrics
 report — the workflow a user would follow to decide whether their
 own application suits offloaded matching.
@@ -16,14 +16,12 @@ Then open the printed ``.trace.json`` at https://ui.perfetto.dev/.
 import tempfile
 from pathlib import Path
 
-from repro.analyzer import format_app_report
-from repro.analyzer.processing import analyze, prepare
+from repro.analyzer import format_figure7, sweep_trace
 from repro.core import ANY_SOURCE, EngineConfig
 from repro.mpisim import MpiSim, RecordingSim
 from repro.obs.registry import MetricsRegistry
 from repro.obs.report import render_metrics
 from repro.obs.trace import mpi_trace_to_chrome
-from repro.traces.lint import lint_trace
 
 
 def producer_consumer_app(recorder: RecordingSim, steps: int) -> None:
@@ -61,12 +59,10 @@ def main() -> None:
     producer_consumer_app(recorder, steps=8)
 
     trace = recorder.trace()
-    report = lint_trace(trace, require_balance=False)
-    print(f"recorded {trace.total_ops()} ops across {trace.nprocs} ranks "
-          f"(lint: {'clean' if report.ok else 'ERRORS'}, "
-          f"{len(report.warnings())} warnings)\n")
+    print(f"recorded {trace.total_ops()} ops across {trace.nprocs} ranks\n")
 
-    print(format_app_report(trace, bins_list=(1, 16, 64)))
+    results = sweep_trace(trace, (1, 16, 64))  # prepared once for all counts
+    print(format_figure7({trace.name: results}))
 
     # -- observability artifacts --------------------------------------
     # The recorded ops become a Perfetto timeline (one thread track per
@@ -78,9 +74,7 @@ def main() -> None:
     # ... and the analysis numbers become a metrics snapshot, rendered
     # as the same ASCII report `python -m repro.obs.report` produces.
     registry = MetricsRegistry()
-    prepared = prepare(trace)  # the bin-independent half, once for all counts
-    for bins in (1, 16, 64):
-        analysis = analyze(prepared, bins)
+    for bins, analysis in results.items():
         registry.register_stats(f"analysis.bins{bins}.depth", analysis.depth)
     print("\nqueue-depth metrics by bin count:")
     print(render_metrics(registry.snapshot(), match="mean_depth", width=32))

@@ -4,11 +4,10 @@
 Walks the decision an MPI implementation would make at communicator
 creation for a given application:
 
-1. inspect the communication topology (who talks to whom),
-2. sweep the matching structures to find the smallest bin count
+1. sweep the matching structures to find the smallest bin count
    meeting a queue-depth target,
-3. sanity-check the measured occupancy against balls-in-bins theory,
-4. price the chosen configuration against the DPA memory budget —
+2. sanity-check the measured occupancy against balls-in-bins theory,
+3. price the chosen configuration against the DPA memory budget —
    or fall back to software if it cannot fit.
 
 Run:  python examples/sizing_workflow.py [app-name]
@@ -16,10 +15,12 @@ Run:  python examples/sizing_workflow.py [app-name]
 
 import sys
 
-from repro.analyzer import analyze, graph_stats, predict, recommend_bins
+from repro.analyzer import BIN_SWEEP, predict, sweep_trace
 from repro.core import EngineConfig
 from repro.core.manager import OffloadManager
 from repro.traces.synthetic import app_names, generate
+
+TARGET_DEPTH = 1.0
 
 
 def main() -> None:
@@ -30,33 +31,29 @@ def main() -> None:
     trace = generate(name, rounds=5)
     print(f"application: {name} ({trace.nprocs} ranks, {trace.total_ops()} trace ops)\n")
 
-    # 1. Topology: the structural driver of queue depth.
-    topo = graph_stats(trace)
+    # 1. Size the bins for a sub-1 mean experienced depth (the largest
+    #    swept count if none reaches it).
+    sweep = sweep_trace(trace, BIN_SWEEP)
+    bins = next(
+        (b for b in BIN_SWEEP if sweep[b].depth.mean_depth <= TARGET_DEPTH), BIN_SWEEP[-1]
+    )
+    analysis = sweep[bins]
     print(
-        f"topology: max in-degree {topo.max_in_degree}, "
-        f"symmetry {topo.symmetry:.0%}, hotspot factor {topo.hotspot_factor:.1f}"
-        f"{' (neighbor exchange)' if topo.is_neighbor_exchange() else ''}"
+        f"sizing: {bins} bins reach mean depth {analysis.depth.mean_depth:.2f} "
+        f"(max {analysis.depth.max_depth}; target {TARGET_DEPTH})"
     )
 
-    # 2. Size the bins for a sub-1 mean experienced depth.
-    rec = recommend_bins(trace, target_depth=1.0)
+    # 2. Check measurement against balls-in-bins theory.
+    theory = predict(analysis.unique_pairs, bins)
     print(
-        f"sizing: {rec.bins} bins reach mean depth {rec.mean_depth:.2f} "
-        f"(max {rec.max_depth}); bin tables cost {rec.bin_table_bytes / 1024:.1f} KiB"
-    )
-
-    # 3. Check measurement against balls-in-bins theory.
-    analysis = analyze(trace, bins=rec.bins)
-    theory = predict(analysis.unique_pairs, max(rec.bins, 1))
-    print(
-        f"theory check: {analysis.unique_pairs} unique keys in {rec.bins} bins "
+        f"theory check: {analysis.unique_pairs} unique keys in {bins} bins "
         f"-> predicted max load {theory.expected_max_load:.1f}, "
         f"measured {analysis.depth.max_depth}"
     )
 
-    # 4. Allocate against the DPA budget (§III-E).
+    # 3. Allocate against the DPA budget (§III-E).
     manager = OffloadManager()
-    config = EngineConfig(bins=max(rec.bins, 1), block_threads=32, max_receives=8192)
+    config = EngineConfig(bins=bins, block_threads=32, max_receives=8192)
     allocation = manager.comm_create(0, config=config)
     if allocation.offloaded:
         print(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analyzer.processing import analyze
 from repro.analyzer.report import (
     format_figure6,
     format_figure7,
@@ -53,12 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--app", help="analyze one registered application")
     parser.add_argument("--trace-dir", help="analyze a DUMPI-text trace directory")
     parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("LEFT", "RIGHT"),
-        help="compare two trace directories' matching behaviour",
-    )
-    parser.add_argument(
         "--bins", type=parse_bins, default=FIGURE7_BINS, help="comma-separated bin counts"
     )
     parser.add_argument("--rounds", type=positive, default=6, help="synthetic trace rounds")
@@ -80,11 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--plot", action="store_true", help="render figures as terminal bar charts"
-    )
-    parser.add_argument(
-        "--full-report",
-        action="store_true",
-        help="with --app or --trace-dir: print the full matching profile",
     )
     parser.add_argument(
         "--trace-out",
@@ -207,27 +195,13 @@ def main(argv: list[str] | None = None) -> int:
             print("\nmean experienced depth (bar scale shared):")
             print(depth_series(rows))
         return 0
-    if args.compare:
-        from repro.analyzer.compare import compare_analyses
-
-        bins = args.bins[0]
-        left = analyze(load_trace(args.compare[0]), bins)
-        right = analyze(load_trace(args.compare[1]), bins)
-        report = compare_analyses(left, right)
-        print(report.format())
-        return 0 if report.ok else 1
     if args.trace_dir or args.app:
         if args.trace_dir:
             trace = load_trace(args.trace_dir)
         else:
             trace = generate(args.app, processes=args.processes, rounds=args.rounds)
         results = sweep_trace(trace, args.bins)
-        if args.full_report:
-            from repro.analyzer.fullreport import format_app_report
-
-            print(format_app_report(trace, analyses=results))
-        else:
-            print(format_figure7({trace.name: results}))
+        print(format_figure7({trace.name: results}))
         _write_obs(trace, results, args)
         return 0
     build_parser().print_help()

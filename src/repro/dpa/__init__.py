@@ -5,15 +5,12 @@
 * :class:`DpaCostModel` / :class:`HostCostModel` / :class:`WireModel`
   — the calibrated per-operation budgets behind every reported rate
 * :class:`MemoryModel` — the §III-E footprint arithmetic
-* :class:`StridedPoller` — the §IV-A completion-queue discipline
 """
 
 from repro.util.exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "completion": "StridedPoller",
     "costs": "DpaCostModel HostCostModel WireModel",
     "machine": "BF3_CORES BF3_THREADS DpaMachine DpaRunReport",
     "memory": "BYTES_PER_BIN INDEX_TABLES MemoryModel",
-    "pipeline": "OffloadedEndpoint",
 })

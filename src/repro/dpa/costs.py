@@ -56,16 +56,12 @@ class DpaCostModel:
     wait_poll: int = 8
     #: Conflict-detection bitmap read + flag publication.
     conflict_check: int = 30
-    #: One node hop along a compatible-receive run (fast path).
-    fast_shift: int = 14
     #: Fixed overhead of entering the slow path (resynchronization).
     slow_entry: int = 150
     #: Per-element physical unlink during a sweep.
     sweep_per_node: int = 20
     #: Indexing a message into the unexpected store (all 4 structures).
     unexpected_insert: int = 90
-    #: Copying one eager payload bounce buffer -> user buffer, per 64 B.
-    eager_copy_per_64b: int = 10
     #: Evicting one cold unexpected entry to host memory under budget
     #: pressure (§III-E enforcement): unlink from the four structures
     #: plus the host-bound DMA descriptor write.

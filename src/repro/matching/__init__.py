@@ -24,5 +24,4 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "optimistic_adapter": "OptimisticAdapter",
     "oracle": "StreamOp ValidationError check_c2 cross_validate pairings run_stream",
     "rank_matcher": "RankMatcher",
-    "threaded_host": "ContentionModel ThreadedHostResult simulate_threaded_host",
 })

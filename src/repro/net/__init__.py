@@ -5,7 +5,7 @@ graphs with per-link bandwidth and latency, static routing with
 hop-by-hop occupancy (contending flows see queuing delay), rank→node
 placement maps, and :class:`repro.net.fabricwire.FabricWire` — a
 drop-in for :class:`repro.rdma.wire.Wire` so the whole RDMA stack
-(reliability, credits, pressure, recovery) runs unchanged over the
+(reliability, pressure, recovery) runs unchanged over the
 fabric. :class:`repro.net.cluster.ClusterSim` drives synthetic app
 traces end-to-end across N simulated nodes through that stack.
 """

@@ -6,7 +6,7 @@ A :class:`FabricWire` is a drop-in for :class:`repro.rdma.wire.Wire`
 :class:`repro.net.fabric.Fabric`: they are routed hop by hop, wait in
 link queues behind other flows' traffic, and can be dropped by link
 faults. Wrap one in a :class:`repro.rdma.reliability.ReliableWire`
-and the whole RDMA stack (go-back-N recovery, RNR, credits, queue
+and the whole RDMA stack (go-back-N recovery, RNR, queue
 pairs) runs unchanged over a congested, lossy, *shared* network.
 
 Ledger coupling: the reliability layer stamps a message's ``wire``

@@ -4,10 +4,7 @@ A :class:`Placement` decides which host each MPI rank lives on. On a
 shared fabric that choice *is* the communication cost: block placement
 keeps halo neighbors on adjacent hosts (short routes, little
 contention); round-robin scatters them (every exchange crosses the
-network and neighbors contend for the same uplinks). The sweepable
-schemes here are the baselines; :func:`repro.analyzer.placement.
-recommend_placement` picks among them (plus a greedy commgraph-driven
-layout) per application trace.
+network and neighbors contend for the same uplinks).
 """
 
 from __future__ import annotations

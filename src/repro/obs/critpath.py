@@ -22,7 +22,7 @@ terminates at the globally earliest opening, segment durations sum to
 makespan by construction.
 
 Causal annotations recorded by the layers (``retransmit``, ``rnr``,
-``timeout``, ``credit_stall``, ``rollback``, ``evicted`` …) are
+``timeout``, ``rollback``, ``evicted`` …) are
 attached to the segment containing their timestamp, so the rendered
 chain explains *why* each hop was slow, not just where time went.
 """

@@ -15,8 +15,8 @@ to the *next* transition, so per-phase durations telescope to exactly
 ``end - start`` — attribution is conserved by construction, not by
 bookkeeping (see :mod:`repro.obs.attribution`). Layers that want to
 explain *why* a phase was slow attach :meth:`FlightRecorder.note`
-annotations (retransmit rounds, RNR stalls, credit stalls, block
-rollbacks, evictions); annotations are side-band events and never
+annotations (retransmit rounds, RNR stalls, block rollbacks,
+evictions); annotations are side-band events and never
 perturb the waterfall.
 
 **Columns while the run is on, records at export.** A stamp is on the

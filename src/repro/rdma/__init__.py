@@ -11,7 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "bounce": "BounceBuffer BounceBufferPool BouncePoolExhausted",
     "cq": "Completion CompletionQueue CompletionQueueOverflow",
     "faultwire": "FaultPlan FaultStats FaultyWire",
-    "flow": "CreditStall CreditedReceiver CreditedSender",
     "protocol": "DEFAULT_EAGER_THRESHOLD Delivery MessageHeader RdmaReceiver RdmaSender pump",
     "qp": "MemoryRegion MemoryRegistry QueuePair StagedMessage",
     "reliability": "ReliabilityConfig ReliabilityStats ReliableWire TransportError",

@@ -66,36 +66,8 @@ class TestPlotFlags:
         assert "█" in out
 
 
-class TestCompareMode:
-    def test_compare_identical_traces(self, capsys, tmp_path):
-        from repro.analyzer.cli import main
-        from repro.traces.reader import save_trace
-        from repro.traces.synthetic import generate
-
-        trace = generate("AMG", rounds=2)
-        save_trace(trace, tmp_path / "a")
-        save_trace(trace, tmp_path / "b")
-        code = main(["--compare", str(tmp_path / "a"), str(tmp_path / "b"),
-                     "--bins", "32"])
-        assert code == 0
-        assert "mean_depth" in capsys.readouterr().out
-
-    def test_compare_divergent_traces_exit_code(self, capsys, tmp_path):
-        from repro.analyzer.cli import main
-        from repro.traces.reader import save_trace
-        from repro.traces.synthetic import generate
-
-        save_trace(generate("BoxLib CNS", rounds=2), tmp_path / "a")
-        save_trace(generate("SNAP", rounds=2), tmp_path / "b")
-        code = main(["--compare", str(tmp_path / "a"), str(tmp_path / "b"),
-                     "--bins", "32"])
-        assert code == 1
-
-
 class TestFullReportAnalyzesOnce:
-    def test_report_and_metrics_share_one_analysis_per_bin_count(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_report_and_metrics_share_one_analysis_per_bin_count(self, tmp_path, monkeypatch):
         from repro.analyzer.statistics import QueueDepthStats
 
         analyzed = []
@@ -107,10 +79,7 @@ class TestFullReportAnalyzesOnce:
 
         monkeypatch.setattr(QueueDepthStats, "from_datapoints", classmethod(counting))
         metrics = tmp_path / "metrics.json"
-        # 3 and 5 are not powers of two, so the sizing search never visits them.
         argv = ["--app", "AMG", "--processes", "8", "--rounds", "2", "--bins", "3,5"]
-        assert main(argv + ["--full-report", "--metrics-out", str(metrics)]) == 0
+        assert main(argv + ["--metrics-out", str(metrics)]) == 0
         assert analyzed.count(3) == 1 and analyzed.count(5) == 1
-        out = capsys.readouterr().out
-        assert "matching profile" in out and "theory @5 bins" in out
         assert "analysis.bins3.depth" in metrics.read_text()

@@ -1,62 +1,10 @@
-"""Tests for the communication-graph and balls-in-bins model modules."""
+"""Tests for the balls-in-bins occupancy model."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyzer.commgraph import build_comm_graph, graph_stats
 from repro.analyzer.model import compare_with_measurement, predict
-from repro.traces.synthetic import generate
-
-
-class TestCommGraph:
-    def test_halo_app_is_symmetric_neighbor_exchange(self):
-        stats = graph_stats(generate("FillBoundary", processes=27, rounds=2))
-        assert stats.symmetry == pytest.approx(1.0)
-        assert stats.is_neighbor_exchange()
-        assert stats.components == 1
-        assert stats.max_in_degree == 6  # 3-D face neighbors
-
-    def test_cns_has_26_neighbors(self):
-        stats = graph_stats(generate("BoxLib CNS", processes=27, rounds=2))
-        assert stats.max_in_degree == 26
-
-    def test_manytoone_is_hotspot(self):
-        from repro.traces.synthetic import TraceBuilder, manytoone_round
-
-        builder = TraceBuilder("gather", 16)
-        manytoone_round(builder)
-        stats = graph_stats(builder.build())
-        # Only the root receives: extreme hotspot, zero symmetry.
-        assert stats.hotspot_factor == pytest.approx(1.0)  # single receiver
-        assert stats.symmetry == 0.0
-        assert stats.max_in_degree == 15
-
-    def test_pure_collective_app_has_empty_graph(self):
-        stats = graph_stats(generate("HILO", rounds=2))
-        assert stats.edges == 0
-        assert stats.messages == 0
-
-    def test_edge_weights_count_messages(self):
-        trace = generate("MOCFE", processes=8, rounds=2)
-        graph = build_comm_graph(trace)
-        total = sum(w for _, _, w in graph.edges(data="weight"))
-        from repro.traces.model import OpKind
-
-        sends = sum(
-            1
-            for rank_trace in trace.ranks
-            for op in rank_trace.ops
-            if op.kind in (OpKind.ISEND, OpKind.SEND)
-        )
-        assert total == sends
-
-    def test_in_degree_tracks_queue_depth_driver(self):
-        """Apps with higher in-degree have deeper 1-bin queues: the
-        topology-to-matching link."""
-        deep = graph_stats(generate("BoxLib CNS", processes=27, rounds=2))
-        shallow = graph_stats(generate("SNAP", processes=16, rounds=2))
-        assert deep.max_in_degree > shallow.max_in_degree
 
 
 class TestBallsInBins:

@@ -1,16 +1,15 @@
 """Import-footprint guard: each path loads only the packages it uses.
 
-Neither scipy nor networkx is a runtime dependency of
-``repro.analyzer``'s Fig. 7 path (scipy is dev-only; networkx is needed
-only where a communication graph is built), and every fleet worker pays
-for what the package imports at module level. Each case runs in a fresh
-interpreter, so nothing an earlier test imported can hide a regression:
+scipy is not a runtime dependency of ``repro.analyzer``'s Fig. 7 path
+(it is dev-only), and every fleet worker pays for what the package
+imports at module level. Each case runs in a fresh interpreter, so
+nothing an earlier test imported can hide a regression:
 
-* blocked — both packages are set to ``None`` in ``sys.modules`` before
-  anything is imported; a module-level import of either fails, and the
-  traceback in the assertion message names the importing file;
+* blocked — scipy is set to ``None`` in ``sys.modules`` before anything
+  is imported; a module-level import of it fails, and the traceback in
+  the assertion message names the importing file;
 * unblocked — a ``sys.meta_path`` witness records the ``repro`` frame
-  that first imports either package, so a leak names its culprit.
+  that first imports it, so a leak names its culprit.
 
 The same witness guards more edges. Experiment grids run inline, so no
 front door may load a process pool (``multiprocessing`` or
@@ -39,7 +38,7 @@ from repro.util.rng import make_rng
 _PROBE = """
 import json, os, sys, traceback
 
-HEAVY = ("scipy", "networkx")
+HEAVY = ("scipy",)
 PKG = f"{os.sep}repro{os.sep}"
 culprits = {}
 
@@ -65,20 +64,13 @@ else:
 
 import repro.analyzer
 import repro.analyzer.cli
-from repro.analyzer import graph_stats, sweep_applications
-from repro.traces.synthetic import generate
+from repro.analyzer import sweep_applications
 
 results = sweep_applications(names=["AMG"], bins_list=(1, 32), rounds=2)
 out = {
     "bins": sorted(results["AMG"]),
     "after_sweep": {name: culprits.get(name) for name in loaded()},
 }
-if not BLOCK:
-    try:
-        graph_stats(generate("AMG", rounds=2))
-    except ImportError:  # networkx not installed: the test skips
-        pass
-    out["after_graph_stats"] = loaded()
 print(json.dumps(out))
 """
 
@@ -101,9 +93,9 @@ def _probe(block: bool) -> dict:
     return _fresh(f"BLOCK = {block}\n{_PROBE}")
 
 
-def test_fig7_path_runs_with_scipy_and_networkx_blocked():
+def test_fig7_path_runs_with_scipy_blocked():
     """``import repro.analyzer``, the CLI module and a small sweep all
-    work where neither package can be imported."""
+    work where scipy cannot be imported."""
     out = _probe(block=True)
     assert out["bins"] == [1, 32]
     assert out["after_sweep"] == {}
@@ -115,14 +107,9 @@ def unblocked() -> dict:
 
 
 def test_fig7_path_leaves_them_unloaded(unblocked):
-    """Installed but unused: the sweep loads neither."""
+    """Installed but unused: the sweep does not load it."""
     assert unblocked["bins"] == [1, 32]
     assert unblocked["after_sweep"] == {}, f"loaded by: {unblocked['after_sweep']}"
-
-
-def test_graph_stats_loads_networkx_and_only_networkx(unblocked):
-    pytest.importorskip("networkx")
-    assert unblocked["after_graph_stats"] == ["networkx"]
 
 
 _WITNESS = """

@@ -1,17 +1,6 @@
-"""Tests for engine replay and the artifact-layout export."""
+"""Tests for engine replay."""
 
-import json
-
-import pytest
-
-from repro.analyzer import (
-    ReplayResult,
-    analyze,
-    export_artifact,
-    export_trace_analysis,
-    load_summary,
-    replay_trace,
-)
+from repro.analyzer import ReplayResult, replay_trace
 from repro.core import EngineConfig
 from repro.traces.synthetic import generate
 
@@ -54,53 +43,3 @@ class TestReplay:
         assert result.messages == 0
         assert result.conflict_rate == 0.0
         assert result.optimistic_fraction == 1.0
-
-
-class TestArtifactExport:
-    def test_single_trace_layout(self, tmp_path):
-        trace = generate("AMG", rounds=2)
-        results = export_trace_analysis(trace, tmp_path, bins_list=(1, 32))
-        assert set(results) == {1, 32}
-        for bins in (1, 32):
-            stats = json.loads((tmp_path / "AMG" / str(bins) / "stats.json").read_text())
-            assert stats["bins"] == bins
-            assert stats["name"] == "AMG"
-            assert (tmp_path / "AMG" / str(bins) / "tag_usage.csv").exists()
-
-    def test_stats_match_direct_analysis(self, tmp_path):
-        trace = generate("SNAP", rounds=2)
-        export_trace_analysis(trace, tmp_path, bins_list=(32,))
-        stats = json.loads((tmp_path / "SNAP" / "32" / "stats.json").read_text())
-        direct = analyze(trace, 32)
-        assert stats["mean_depth"] == pytest.approx(direct.depth.mean_depth)
-        assert stats["collisions"] == direct.depth.collisions
-
-    def test_full_artifact_summary(self, tmp_path):
-        out = export_artifact(
-            tmp_path / "artifact",
-            bins_list=(1, 32),
-            rounds=2,
-            names=["AMG", "HILO"],
-        )
-        summary = load_summary(out)
-        assert set(summary) == {"AMG", "HILO"}
-        assert set(summary["AMG"]) == {"1", "32"}
-        # HILO is pure collectives: no p2p datapoint depth.
-        assert summary["HILO"]["1"]["mean_depth"] == 0.0
-
-    def test_six_bin_default_sweep(self, tmp_path):
-        out = export_artifact(tmp_path / "a", rounds=1, names=["MOCFE"])
-        # "6 folders representing the number of bins used (from 1 to
-        # 256, in powers of 2)".
-        bins_dirs = sorted(
-            int(p.name) for p in (out / "MOCFE").iterdir() if p.is_dir()
-        )
-        assert len(bins_dirs) == 6
-        assert bins_dirs[0] == 1 and bins_dirs[-1] == 256
-
-    def test_tag_csv_contents(self, tmp_path):
-        trace = generate("PARTISN", rounds=2)
-        export_trace_analysis(trace, tmp_path, bins_list=(1,))
-        csv = (tmp_path / "PARTISN" / "1" / "tag_usage.csv").read_text().splitlines()
-        assert csv[0] == "tag,count"
-        assert len(csv) > 1

@@ -4,7 +4,7 @@ together, as deployed in §IV."""
 import pytest
 
 from repro.core import EngineConfig, OptimisticMatcher, ReceiveRequest
-from repro.dpa import DpaCostModel, DpaMachine, MemoryModel, StridedPoller
+from repro.dpa import DpaCostModel, DpaMachine, MemoryModel
 from repro.rdma import (
     BouncePoolExhausted,
     BounceBufferPool,
@@ -98,22 +98,6 @@ class TestDpaMachineIntegration:
         assert machine.report.dpa_seconds > 0
         # Memory model consistent with the engine's configuration.
         assert machine.memory.bins == 128
-
-    def test_poller_feeds_machine_in_blocks(self):
-        """StridedPoller batches are exactly the machine's blocks."""
-        poller = StridedPoller(threads=8, queue_depth=64)
-        machine = DpaMachine(EngineConfig(bins=64, block_threads=8, max_receives=512))
-        from repro.core import MessageEnvelope
-
-        for i in range(40):
-            machine.post_receive(ReceiveRequest(source=0, tag=i))
-        entries = [MessageEnvelope(source=0, tag=i, send_seq=i) for i in range(40)]
-        for batch in poller.batches(entries):
-            for msg in batch:
-                machine.deliver(msg)
-            machine.run()
-        assert machine.report.messages == 40
-        assert machine.report.blocks == 5
 
     def test_footprint_guard_before_offload(self):
         """The §III-E deployment rule: configurations that overflow L3

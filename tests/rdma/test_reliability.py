@@ -162,42 +162,3 @@ class TestRnrBackpressure:
         wire, _ = build()
         with pytest.raises(KeyError):
             wire.register_rnr_probe("nope", lambda p, b: True)
-
-
-class TestGrantsSurviveLoss:
-    """The flow-control property the docstring promises: credit grants
-    ride the reliable wire, so a lossy link cannot strand the sender."""
-
-    def test_credited_flow_over_lossy_wire(self):
-        from repro.core import EngineConfig, OptimisticMatcher, ReceiveRequest
-        from repro.rdma import BounceBufferPool, QueuePair, RdmaReceiver, RdmaSender
-        from repro.rdma.flow import CreditedReceiver, CreditedSender
-
-        raw = FaultyWire("tx", "rx", plan=FaultPlan.drops(0.15, seed=6))
-        wire = ReliableWire(raw)
-        tx = QueuePair(wire, "tx")
-        rx = QueuePair(wire, "rx", bounce_pool=BounceBufferPool(4, 4096))
-        sender = CreditedSender(RdmaSender(tx, rank=0, eager_threshold=1024))
-        matcher = OptimisticMatcher(EngineConfig(block_threads=4, max_receives=64))
-        receiver = CreditedReceiver(RdmaReceiver(rx, matcher), grant_batch=2)
-
-        for i in range(16):
-            receiver.receiver.post_receive(ReceiveRequest(source=0, tag=i, handle=i))
-        receiver.initial_grant()
-        for i in range(16):
-            sender.send(tag=i, payload=b"payload")
-        for _ in range(5_000):
-            moved = receiver.progress()
-            moved += tx.process_inbound()
-            moved += sender.pump_grants()
-            receiver.flush_grants()
-            if (
-                moved == 0
-                and len(receiver.receiver.completed) == 16
-                and wire.in_flight() == 0
-            ):
-                break
-        assert len(receiver.receiver.completed) == 16
-        assert sender.queued == 0
-        assert raw.stats.dropped > 0
-        assert sender.grants_received >= 16

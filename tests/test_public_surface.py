@@ -32,13 +32,8 @@ SURFACE = {
         "repro": "__version__",
     },
     "repro.analyzer": {
-        "repro.analyzer.artifact": "export_artifact export_trace_analysis load_summary",
-        "repro.analyzer.commgraph": "CommGraphStats build_comm_graph graph_stats",
-        "repro.analyzer.compare": "ComparisonReport MetricDelta compare_analyses",
-        "repro.analyzer.fullreport": "format_app_report",
         "repro.analyzer.model": "BinsPrediction compare_with_measurement predict",
         "repro.analyzer.processing": "PreparedTrace analyze prepare",
-        "repro.analyzer.recommend": "Recommendation recommend_bins",
         "repro.analyzer.report": (
             "depth_reduction_summary figure6_rows figure7_rows format_figure6 format_figure7 "
             "format_table2 table2_rows"
@@ -49,8 +44,6 @@ SURFACE = {
         "repro.analyzer.sweep": "BIN_SWEEP FIGURE7_BINS sweep_applications sweep_trace",
     },
     "repro.bench": {
-        "repro.bench.apps": "AppRate app_message_rate",
-        "repro.bench.latency": "LatencyDistribution dpa_latencies host_latencies",
         "repro.bench.pingpong": (
             "PAPER_K PAPER_REPETITIONS PingPongBench RateResult format_figure8 run_figure8"
         ),
@@ -75,11 +68,9 @@ SURFACE = {
         ),
     },
     "repro.dpa": {
-        "repro.dpa.completion": "StridedPoller",
         "repro.dpa.costs": "DpaCostModel HostCostModel WireModel",
         "repro.dpa.machine": "BF3_CORES BF3_THREADS DpaMachine DpaRunReport",
         "repro.dpa.memory": "BYTES_PER_BIN INDEX_TABLES MemoryModel",
-        "repro.dpa.pipeline": "OffloadedEndpoint",
     },
     "repro.fleet": {
         "repro.fleet.cache": "ResultCache",
@@ -100,9 +91,6 @@ SURFACE = {
             "StreamOp ValidationError check_c2 cross_validate pairings run_stream"
         ),
         "repro.matching.rank_matcher": "RankMatcher",
-        "repro.matching.threaded_host": (
-            "ContentionModel ThreadedHostResult simulate_threaded_host"
-        ),
     },
     "repro.mpisim": {
         "repro.mpisim.collectives": "alltoall barrier bcast gather",
@@ -149,7 +137,6 @@ SURFACE = {
         "repro.rdma.bounce": "BounceBuffer BounceBufferPool BouncePoolExhausted",
         "repro.rdma.cq": "Completion CompletionQueue CompletionQueueOverflow",
         "repro.rdma.faultwire": "FaultPlan FaultStats FaultyWire",
-        "repro.rdma.flow": "CreditStall CreditedReceiver CreditedSender",
         "repro.rdma.protocol": (
             "DEFAULT_EAGER_THRESHOLD Delivery MessageHeader RdmaReceiver RdmaSender pump"
         ),
