@@ -334,8 +334,7 @@ class DpaMachine:
         if event.kind is not MatchKind.STORED_UNEXPECTED and event.receive is not None:
             mid = event.message.mid
             self.recorder.stamp(mid, "matched")
-            self.recorder.complete(mid)
-            self.recorder.close_receive(event.receive.handle, mid)
+            self.recorder.complete(mid, event.receive.handle)
         return event
 
     # -- draining and costing -------------------------------------------

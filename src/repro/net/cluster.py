@@ -321,16 +321,14 @@ class ClusterSim:
         sends = (OpKind.ISEND, OpKind.SEND)
         recvs = (OpKind.IRECV, OpKind.RECV)
         nprocs = self.nprocs
-        pairs: set[tuple[int, int]] = set()
-        for rank_trace in self.trace.ranks:
-            me = rank_trace.rank
-            for op in rank_trace.ops:
-                peer = op.peer
-                if (op.kind in sends and peer >= 0) or (
-                    op.kind in recvs and 0 <= peer < nprocs
-                ):
-                    pairs.add((me, peer) if me < peer else (peer, me))
-        return pairs
+        return {
+            (me, op.peer) if me < op.peer else (op.peer, me)
+            for rank_trace in self.trace.ranks
+            for me in (rank_trace.rank,)
+            for op in rank_trace.ops
+            if (op.kind in sends and op.peer >= 0)
+            or (op.kind in recvs and 0 <= op.peer < nprocs)
+        }
 
     def _connect(self, a: int, b: int) -> None:
         """One RC connection between ranks ``a`` and ``b``."""
@@ -395,7 +393,7 @@ class ClusterSim:
         seq = node.send_streams.get(key, 0)
         node.send_streams[key] = seq + 1
         ident = f"{node.rank}>{op.peer}:{op.tag}:{seq}"
-        payload = ident.encode().ljust(max(op.size, len(ident)), b".")
+        payload = ident.encode().ljust(op.size, b".")  # never shorter than ident
         header = node.senders[op.peer].send(op.tag, payload, comm=op.comm)
         if self.recorder.enabled and header.mid >= 0:
             self.recorder.label(header.mid, ident)

@@ -12,13 +12,14 @@ pairs) runs unchanged over a congested, lossy, *shared* network.
 Ledger coupling: the reliability layer stamps a message's ``wire``
 transition at transmit; when the message-bearing packet pops out of
 the fabric here, the ``staged`` transition is stamped *at the exact
-arrival tick* (``FlightRecorder.stamp_at``), so the ledger's wire
-phase equals the fabric transit time — which the fabric's telescoping
-hop schedule splits exactly into per-hop components. At inject the
-schedule is copied into the fabric's :class:`repro.net.fabric.HopLog`
-and a ``fabric_hops`` note points at its row; the note's dict is built
-only when the ledger is read. Conservation is structural, not
-reconciled after the fact.
+arrival tick* with one ``FlightRecorder.stamp_at`` call, which itself
+skips a copy that arrives after the record left ``wire`` — so the
+ledger's wire phase equals the fabric transit time, which the fabric's
+telescoping hop schedule splits exactly into per-hop components. At
+inject the schedule is copied into the fabric's
+:class:`repro.net.fabric.HopLog` and a ``fabric_hops`` note points at
+its row; the note's dict is built only when the ledger is read.
+Conservation is structural, not reconciled after the fact.
 
 Per-pair FIFO survives end to end: each direction of a FabricWire is
 one (src-node, dst-node) flow, flows follow static routes, links are
@@ -35,24 +36,7 @@ from repro.net.fabric import Fabric
 from repro.obs.ledger import NULL_RECORDER, FlightRecorder
 from repro.rdma.wire import Packet
 
-__all__ = ["FabricWire", "fabric_mid_of"]
-
-
-def fabric_mid_of(packet: Packet) -> int:
-    """The ledger mid a packet carries, unwrapping RC framing.
-
-    ``rc_data`` frames hold ``(psn, inner)``; message-bearing inner
-    packets (``send`` / ``rts``) lead with a header that has a mid.
-    Control traffic (ACK/NAK/read protocol) has no mid: returns -1.
-    """
-    try:
-        if packet.opcode == "rc_data":
-            packet = packet.payload[1]
-        if packet.opcode in ("send", "rts"):
-            return int(packet.payload[0].mid)
-    except (AttributeError, TypeError, IndexError):
-        pass
-    return -1
+__all__ = ["FabricWire"]
 
 
 class _Port:
@@ -127,13 +111,23 @@ class FabricWire:
         """Route ``packet`` across the fabric toward ``src``'s peer.
 
         The ledger mid is read off the packet here, once, and rides the
-        fabric beside it, so the arrival stamp needs no second look."""
+        fabric beside it, so the arrival stamp needs no second look:
+        ``rc_data`` frames hold ``(psn, inner)``, and a ``send`` / ``rts``
+        packet leads with a header that has a mid. Control traffic
+        (ACK/NAK/read protocol) carries none: -1."""
         try:
             node, peer_node, port = self._flows[src]
         except KeyError:
             raise KeyError(f"unknown endpoint {src!r}") from None
         recorder = self._recorder
-        mid = fabric_mid_of(packet) if recorder.enabled else -1
+        mid = -1
+        if recorder.enabled:
+            try:
+                inner = packet.payload[1] if packet.opcode == "rc_data" else packet
+                if inner.opcode in ("send", "rts"):
+                    mid = int(inner.payload[0].mid)
+            except (AttributeError, TypeError, IndexError):
+                pass
         transfer = self.fabric.inject(
             node, peer_node, port, (packet, mid), packet.size
         )
@@ -151,34 +145,15 @@ class FabricWire:
         fabric = self.fabric
         fabric.clock = now = fabric.clock + 1
         heap = self._heaps[dst]
-        if heap and heap[0][0] <= now:
-            return self._take(heap)
-        return None
-
-    def drain(self, dst: str) -> list[Packet]:
-        """Pop everything already arrived at ``dst``."""
-        fabric = self.fabric
-        fabric.clock = now = fabric.clock + 1
-        heap = self._heaps[dst]
-        out: list[Packet] = []
-        while heap and heap[0][0] <= now:
-            out.append(self._take(heap))
-        return out
-
-    def in_flight(self) -> int:
-        """Packets injected on this wire and not yet consumed."""
-        return sum(len(heap) for heap in self._heaps.values())
-
-    def _take(self, heap: list) -> Packet:
-        """Pop ``heap``'s arrived head and account for it."""
+        if not heap or heap[0][0] > now:
+            return None
         _, _, (packet, mid), transfer = heappop(heap)
-        self.fabric.delivered += 1
+        fabric.delivered += 1
         self.delivered += 1
-        # Close the wire phase at the true arrival tick (the pop may
-        # happen later). The phase guard makes duplicates and stale
-        # retransmit copies harmless: only the first arrival of a
-        # message still in its wire phase stamps.
-        if mid >= 0 and self._recorder.phase_of(mid) == "wire":
+        if mid >= 0:
+            # Close the wire phase at the true arrival tick (the pop may
+            # happen later); the recorder skips a duplicate or a stale
+            # retransmitted copy whose message already left ``wire``.
             self._recorder.stamp_at(
                 mid,
                 "staged",
@@ -186,3 +161,16 @@ class FabricWire:
                 ("where", "fabric", "hops", len(transfer.times) - 1),
             )
         return packet
+
+    def drain(self, dst: str) -> list[Packet]:
+        """Pop everything already arrived at ``dst``: one poll, one tick."""
+        fabric = self.fabric
+        out: list[Packet] = []
+        while (packet := self.receive(dst)) is not None:
+            out.append(packet)
+            fabric.clock -= 1  # the poll's tick is the last receive's
+        return out
+
+    def in_flight(self) -> int:
+        """Packets injected on this wire and not yet consumed."""
+        return sum(len(heap) for heap in self._heaps.values())

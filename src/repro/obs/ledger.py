@@ -37,7 +37,12 @@ group of columns is allocated a block at a time, so a stamp is index
 stores. The unknown-mid test is ``0 <= mid < n`` (a foreign -1 never
 indexes from the end); the dedupe / post-complete / clamp rules read
 the record's last row; ``rewind`` walks ``prev`` back and blanks the
-rows it drops. :class:`MessageRecord` and every dict are the read
+rows it drops. A layer crossing is one recorder call: ``open`` writes
+its ``send`` row, the fabric arrival's ``stamp_at`` checks by itself
+that the record is still in ``wire``, ``stamp_staged`` writes the queue
+pair's ``staged`` and ``cq`` rows and ``complete(mid, handle)`` the
+``complete`` row and the receive's completion row, each under the
+rules of ``stamp``. :class:`MessageRecord` and every dict are the read
 model, built only by ``export``, ``passport`` (one record), the
 ``records`` snapshot and ``receives``; a whole-run fold
 (``ClusterSim.report``) reads :meth:`FlightRecorder.columns`.
@@ -207,10 +212,9 @@ def _no_clock() -> float:
     return 0.0
 
 
-#: ``tails`` entries that are no row: a record with no live transition,
-#: and a mid :meth:`FlightRecorder.new_mid` handed out with no record.
+#: A ``tails`` / ``prevs`` entry that is no row: a record with no live
+#: transition, a mid's first transition, or room not yet handed out.
 NO_ROW = -1
-NO_RECORD = -2
 
 
 def _flat(fields: dict) -> tuple | None:
@@ -247,8 +251,8 @@ class LedgerColumns(NamedTuple):
     ``NO_ROW``. Note row ``j`` is ``note_mids[j]``, ``note_times[j]``,
     ``note_names[j]`` and its detail, which :meth:`note_detail` builds;
     room past the last note has mid ``NO_ROW`` too. ``tails[mid]`` is
-    the mid's last live row, or ``NO_ROW`` / ``NO_RECORD`` (which
-    unassigned room reads as too).
+    the mid's last live row, or ``NO_ROW`` (which unassigned room reads
+    as too).
     """
 
     tails: array
@@ -341,14 +345,14 @@ class FlightRecorder:
 
     # -- room ------------------------------------------------------------
     # Doubling, so a column is reallocated O(log n) times. Room reads as
-    # a mid with no record, a rewound row, and no note. The run keeps no
-    # object per row for the collector to count.
+    # a mid with no transition, a rewound row, and no note. The run keeps
+    # no object per row for the collector to count.
 
     def _grow_mids(self) -> None:
         block = max(self._mid_capacity, 256)
         _extend(
             block,
-            (self._tails, NO_RECORD), (self._note_tails, NO_ROW),
+            (self._tails, NO_ROW), (self._note_tails, NO_ROW),
             (self._sources, 0), (self._tags, 0), (self._sizes, 0),
             (self._protocols, ""), (self._label_of, ""),
         )
@@ -385,15 +389,6 @@ class FlightRecorder:
 
     # -- message lifecycle ----------------------------------------------
 
-    def new_mid(self) -> int:
-        """A fresh mid with no record behind it: stamps, notes and
-        labels addressed to it are ignored, as for foreign traffic."""
-        mid = self._next_mid
-        if mid == self._mid_capacity:
-            self._grow_mids()
-        self._next_mid = mid + 1
-        return mid
-
     def open(
         self,
         *,
@@ -403,13 +398,24 @@ class FlightRecorder:
         protocol: str = "eager",
     ) -> int:
         """Open a record (stamps the ``send`` transition); returns mid."""
-        mid = self.new_mid()
+        mid = self._next_mid
+        if mid == self._mid_capacity:
+            self._grow_mids()
+        self._next_mid = mid + 1
         self._sources[mid] = source
         self._tags[mid] = tag
         self._sizes[mid] = size
         self._protocols[mid] = protocol
-        self._tails[mid] = NO_ROW
-        self.stamp(mid, "send")
+        row = self._nrows
+        if row == self._row_capacity:
+            self._grow_rows()
+        self._nrows = row + 1
+        self._mids[row] = mid
+        self._times[row] = self._clock()
+        self._phases[row] = "send"
+        self._prevs[row] = NO_ROW
+        self._details[row] = None
+        self._tails[mid] = row
         return mid
 
     def stamp(
@@ -422,9 +428,11 @@ class FlightRecorder:
         from two layers is safe); timestamps are clamped monotone
         within a record so attribution segments never go negative.
 
-        This is the per-packet path of every instrumented layer, so it
-        applies those rules itself; :meth:`stamp_at` states them again
-        for an explicit timestamp and the two must stay in step.
+        The verbs that stand for several stamps (:meth:`open`,
+        :meth:`stamp_at`, :meth:`stamp_staged`, :meth:`complete`) write
+        their rows themselves under these same rules, so a layer
+        crossing is one call; the recorder differential test holds each
+        to the primitive sequence it replaced.
         """
         if not 0 <= mid < self._next_mid:  # never index from the end
             return
@@ -436,10 +444,8 @@ class FlightRecorder:
             ts = self._clock()  # read once, and only for a stamp that lands
             if ts < self._times[prev]:
                 ts = self._times[prev]
-        elif prev == NO_ROW:
-            ts = self._clock()
         else:
-            return
+            ts = self._clock()
         row = self._nrows
         if row == self._row_capacity:
             self._grow_rows()
@@ -466,21 +472,23 @@ class FlightRecorder:
         its *true* arrival tick rather than at the (possibly later)
         tick the delivery was polled — the hook that makes per-hop
         wire attribution telescope exactly. Same dedupe / monotone /
-        post-complete rules as :meth:`stamp`.
+        post-complete rules as :meth:`stamp`; and a ``staged`` stamp,
+        the arrival, lands only while the record is still in ``wire``,
+        so a duplicate or a stale retransmitted copy that arrives after
+        the record moved on stamps nothing.
         """
         if not 0 <= mid < self._next_mid:
             return
         prev = self._tails[mid]
-        if prev == NO_RECORD:
+        last_phase = self._phases[prev] if prev >= 0 else None
+        if (
+            last_phase == phase
+            or last_phase == "complete"
+            or (phase == "staged" and last_phase != "wire")
+        ):
             return
-        if prev >= 0:
-            last_phase = self._phases[prev]
-            if last_phase == phase:
-                return
-            if last_phase == "complete":
-                return
-            if ts < self._times[prev]:
-                ts = self._times[prev]
+        if prev >= 0 and ts < self._times[prev]:
+            ts = self._times[prev]
         row = self._nrows
         if row == self._row_capacity:
             self._grow_rows()
@@ -492,16 +500,64 @@ class FlightRecorder:
         self._details[row] = _flat(fields) if fields else detail
         self._tails[mid] = row
 
-    def phase_of(self, mid: int) -> str:
-        """The phase ``mid`` currently occupies ("" when unknown)."""
-        if 0 <= mid < self._next_mid:
-            row = self._tails[mid]
-            if row >= 0:
-                return self._phases[row]
-        return ""
+    def stamp_staged(self, mid: int, detail: tuple | None) -> None:
+        """The queue pair's staging in one call: ``stamp(mid, "staged",
+        detail)`` then ``stamp(mid, "cq")``. Over a fabric the arrival
+        has stamped ``staged`` already, and only ``cq`` lands."""
+        if not 0 <= mid < self._next_mid:
+            return
+        prev = self._tails[mid]
+        rows = (("staged", detail), ("cq", None))
+        if prev >= 0:
+            last_phase = self._phases[prev]
+            if last_phase == "complete":
+                return
+            if last_phase == "staged":
+                rows = rows[1:]
+            ts = self._clock()
+            if ts < self._times[prev]:
+                ts = self._times[prev]
+        else:
+            ts = self._clock()
+        for phase, row_detail in rows:
+            row = self._nrows
+            if row == self._row_capacity:
+                self._grow_rows()
+            self._nrows = row + 1
+            self._mids[row] = mid
+            self._times[row] = ts
+            self._phases[row] = phase
+            self._prevs[row] = prev
+            self._details[row] = row_detail
+            self._tails[mid] = prev = row
 
-    def complete(self, mid: int) -> None:
-        self.stamp(mid, "complete")
+    def complete(self, mid: int, handle: int | None = None) -> None:
+        """Stamp ``complete`` and, given the receive ``handle`` the
+        message was delivered to, close that receive in the receive log
+        (its completion row, whatever ``mid`` is): a delivery in one call."""
+        now = self._clock()
+        prev = self._tails[mid] if 0 <= mid < self._next_mid else None
+        if prev is not None and (prev < 0 or self._phases[prev] != "complete"):
+            row = self._nrows
+            if row == self._row_capacity:
+                self._grow_rows()
+            self._nrows = row + 1
+            self._mids[row] = mid
+            self._times[row] = (
+                self._times[prev] if prev >= 0 and now < self._times[prev] else now
+            )
+            self._phases[row] = "complete"
+            self._prevs[row] = prev
+            self._details[row] = None
+            self._tails[mid] = row
+        if handle is not None:
+            row = self._nrecvs
+            if row == self._recv_capacity:
+                self._grow_recvs()
+            self._nrecvs = row + 1
+            self._recv_handles[row] = handle  # room reads as a completion
+            self._recv_source_or_mid[row] = mid
+            self._recv_times[row] = now
 
     def note(
         self,
@@ -517,7 +573,7 @@ class FlightRecorder:
         ``detail`` is a flat detail; or, with a ``ref`` of 0 or more, a
         source that keeps the detail itself and builds it on read as
         ``detail.detail(ref)`` (the fabric's hop log does)."""
-        if not 0 <= mid < self._next_mid or self._tails[mid] == NO_RECORD:
+        if not 0 <= mid < self._next_mid:
             return
         row = self._nnotes
         if row == self._note_capacity:
@@ -562,7 +618,7 @@ class FlightRecorder:
 
     def label(self, mid: int, ident: str) -> None:
         """Bind a human-readable identity (e.g. ``"rank:seq"``)."""
-        if not 0 <= mid < self._next_mid or self._tails[mid] == NO_RECORD:
+        if not 0 <= mid < self._next_mid:
             return
         self._label_of[mid] = ident
         self._labels[ident] = mid
@@ -612,12 +668,7 @@ class FlightRecorder:
     def records(self) -> dict[int, MessageRecord]:
         """A fresh snapshot of every record, by mid (mutating it leaves
         the ledger alone)."""
-        tails = self._tails
-        return {
-            mid: self._record(mid)
-            for mid in range(self._next_mid)
-            if tails[mid] != NO_RECORD
-        }
+        return {mid: self._record(mid) for mid in range(self._next_mid)}
 
     # -- receive lifecycle ----------------------------------------------
 
@@ -630,15 +681,6 @@ class FlightRecorder:
         self._recv_handles[row] = handle
         self._recv_source_or_mid[row] = source
         self._recv_tags[row] = tag
-        self._recv_times[row] = self._clock()
-
-    def close_receive(self, handle: int, mid: int = -1) -> None:
-        row = self._nrecvs
-        if row == self._recv_capacity:
-            self._grow_recvs()
-        self._nrecvs = row + 1
-        self._recv_handles[row] = handle  # room reads as a completion
-        self._recv_source_or_mid[row] = mid
         self._recv_times[row] = self._clock()
 
     @property
@@ -703,20 +745,14 @@ class NullRecorder(FlightRecorder):
     def receives(self) -> list[dict]:
         raise AttributeError("a NullRecorder keeps no receive rows")
 
-    set_clock = stamp = stamp_at = complete = note = rewind = label = _noop
-    open_receive = close_receive = event = passport = _noop
+    set_clock = stamp = stamp_at = stamp_staged = complete = note = _noop
+    rewind = label = open_receive = event = passport = _noop
 
     def now(self) -> float:
         return 0.0
 
-    def new_mid(self) -> int:
-        return -1
-
     def open(self, **kwargs: Any) -> int:
         return -1
-
-    def phase_of(self, mid: int) -> str:
-        return ""
 
     def mark(self, mid: int) -> int:
         return 0

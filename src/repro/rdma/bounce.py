@@ -57,7 +57,9 @@ class BounceBufferPool:
     """
 
     def __init__(self, count: int, buffer_bytes: int = 4096, *, pressure=None) -> None:
-        self._pool = SlotPool(count)
+        #: The buffer numbers, free and taken: read-only outside the pool
+        #: (the RNR probe reads its free count straight off it).
+        self.slots = SlotPool(count)
         #: Buffers that have been allocated at least once, by index; the
         #: rest of the modelled pool is built when first handed out.
         self._buffers: dict[int, BounceBuffer] = {}
@@ -66,33 +68,31 @@ class BounceBufferPool:
 
     @property
     def capacity(self) -> int:
-        return self._pool.capacity
+        return self.slots.capacity
 
     @property
     def in_use(self) -> int:
-        return self._pool.in_use
-
-    @property
-    def available(self) -> int:
-        """Free buffers right now (the RNR-probe headroom check)."""
-        return self._pool.available
+        return self.slots.in_use
 
     @property
     def high_water(self) -> int:
         """Peak simultaneous occupancy (sizing diagnostics)."""
-        return self._pool.high_water
+        return self.slots.high_water
 
     def allocate(self) -> BounceBuffer:
-        if not self._pool.available:
+        if not self.slots.available:
             raise BouncePoolExhausted(
-                f"all {self._pool.capacity} bounce buffers in use"
+                f"all {self.slots.capacity} bounce buffers in use"
             )
         if self.pressure is not None and not self.pressure.would_fit(self.buffer_bytes):
             raise BouncePoolExhausted(
                 f"memory budget cannot absorb another {self.buffer_bytes} B "
                 f"bounce buffer ({self.pressure.headroom()} B headroom)"
             )
-        buf = self.get(self._pool.take())
+        index = self.slots.take()
+        buf = self._buffers.get(index)
+        if buf is None:
+            buf = self._buffers[index] = BounceBuffer(index, self.buffer_bytes)
         buf.in_use = True
         if self.pressure is not None:
             self.pressure.charge("bounce", self.buffer_bytes)
@@ -103,14 +103,6 @@ class BounceBufferPool:
             raise ValueError(f"bounce buffer {buf.index} is not allocated")
         buf.in_use = False
         buf.data = b""
-        self._pool.give(buf.index)
+        self.slots.give(buf.index)
         if self.pressure is not None:
             self.pressure.release("bounce", self.buffer_bytes)
-
-    def get(self, index: int) -> BounceBuffer:
-        if not 0 <= index < self._pool.capacity:
-            raise IndexError(f"bounce buffer {index} out of range")
-        buf = self._buffers.get(index)
-        if buf is None:
-            buf = self._buffers[index] = BounceBuffer(index, self.buffer_bytes)
-        return buf

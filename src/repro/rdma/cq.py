@@ -36,29 +36,22 @@ class CompletionQueue:
         if depth <= 0:
             raise ValueError(f"CQ depth must be positive, got {depth}")
         self.depth = depth
-        self._entries: deque[Completion] = deque()
+        #: The queued completions, oldest first; the queue pair drains
+        #: them in place.
+        self.entries: deque[Completion] = deque()
         self._next_index = 0
 
     def push(self, opcode: str, payload: Any) -> Completion:
-        if len(self._entries) >= self.depth:
+        if len(self.entries) >= self.depth:
             raise CompletionQueueOverflow(f"CQ overflow at depth {self.depth}")
         cqe = Completion(self._next_index, opcode, payload)
         self._next_index += 1
-        self._entries.append(cqe)
+        self.entries.append(cqe)
         return cqe
 
     def poll(self) -> Completion | None:
         """Pop the oldest completion (None when empty)."""
-        return self._entries.popleft() if self._entries else None
-
-    def poll_batch(self, limit: int) -> list[Completion]:
-        """Pop up to ``limit`` completions in order."""
-        entries = self._entries
-        if len(entries) <= limit:
-            out = list(entries)
-            entries.clear()
-            return out
-        return [entries.popleft() for _ in range(limit)]
+        return self.entries.popleft() if self.entries else None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)

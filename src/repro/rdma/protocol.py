@@ -244,10 +244,7 @@ class RdmaReceiver:
                 token, data = cqe.payload
                 event = self._pending_reads.pop(token)
                 if self.recorder.enabled:
-                    self.recorder.complete(event.message.mid)
-                    self.recorder.close_receive(
-                        event.receive.handle, event.message.mid
-                    )
+                    self.recorder.complete(event.message.mid, event.receive.handle)
                 self.completed.append(
                     Delivery(
                         handle=event.receive.handle,
@@ -349,8 +346,7 @@ class RdmaReceiver:
                 stats.degraded_stagings += 1
                 stats.degraded_matches += 1
         if self.recorder.enabled:
-            self.recorder.complete(event.message.mid)
-            self.recorder.close_receive(event.receive.handle, event.message.mid)
+            self.recorder.complete(event.message.mid, event.receive.handle)
         self.completed.append(
             Delivery(
                 handle=event.receive.handle,

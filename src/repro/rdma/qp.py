@@ -123,11 +123,17 @@ class QueuePair:
         offset by it so a burst admitted in one poll cannot overshoot
         the pool or the completion queue.
         """
-        if len(self.cq) + backlog >= self.cq.depth:
+        queued = len(self.cq.entries)
+        if queued + backlog >= self.cq.depth:
             return False
         if packet.opcode in ("send", "rts"):
             _, payload = packet.payload
-            if payload and not self.host_spill and self.bounce_pool.available <= backlog:
+            slots = self.bounce_pool.slots
+            if (
+                payload
+                and not self.host_spill
+                and slots.capacity - slots.in_use <= backlog
+            ):
                 return False
             meter = self.bounce_pool.pressure
             if meter is not None:
@@ -150,7 +156,7 @@ class QueuePair:
                 per_backlog = (
                     UNEXPECTED_HEADER_BYTES + self.bounce_pool.buffer_bytes
                 )
-                owed = UNEXPECTED_HEADER_BYTES * len(self.cq)
+                owed = UNEXPECTED_HEADER_BYTES * queued
                 if meter.headroom() < need + backlog * per_backlog + owed:
                     return False
         return True
@@ -190,12 +196,10 @@ class QueuePair:
                     else:
                         bounce.write(payload)
                 if self.recorder.enabled:
-                    mid = header.mid
                     where = "host" if host_data else (
                         "bounce" if bounce is not None else "inline"
                     )
-                    self.recorder.stamp(mid, "staged", ("where", where))
-                    self.recorder.stamp(mid, "cq")
+                    self.recorder.stamp_staged(header.mid, ("where", where))
                 self.cq.push(packet.opcode, StagedMessage(header, bounce, host_data))
             elif packet.opcode == "read_request":
                 rkey, token = packet.payload
@@ -225,6 +229,12 @@ class QueuePair:
         self.wire.transmit(self.side, Packet("ack", payload))
 
     def poll(self, limit: int = 64) -> list[Completion]:
-        """Process inbound traffic then drain up to ``limit`` CQEs."""
+        """Process inbound traffic then drain up to ``limit`` CQEs, in
+        order."""
         self.process_inbound()
-        return self.cq.poll_batch(limit)
+        entries = self.cq.entries
+        if len(entries) <= limit:
+            out = list(entries)
+            entries.clear()
+            return out
+        return [entries.popleft() for _ in range(limit)]

@@ -256,13 +256,28 @@ class ReliableWire:
         if tx.failed:
             raise TransportError(f"channel from {dst!r} already failed")
         self.clock += 1
-        if tx.unacked:
+        if not tx.unacked:
+            tx.timer = 0
+        elif tx.rnr_wait > 0 or tx.timer + 1 >= tx.timeout:
             self._advance_timer(dst, tx)
         else:
-            tx.timer = 0
+            tx.timer += 1  # the common tick: nothing fires
         raw_receive = self.raw.receive
         while (frame := raw_receive(dst)) is not None:
-            self._process_frame(dst, frame)
+            opcode = frame.opcode
+            if frame.checksum is None or frame.checksum != packet_checksum(
+                opcode, frame.payload
+            ):
+                # Corrupt frame: indistinguishable from loss. Data gaps
+                # are NAKed when the next good frame arrives; lost
+                # control frames are covered by the sender's timer.
+                self.stats.corrupt_dropped += 1
+            elif opcode == "rc_data":
+                self._process_data(dst, frame)
+            elif opcode == "rc_ack":
+                self._process_ack(dst, frame.payload)
+            else:
+                self._process_control(dst, frame)
         rx = self._rx[dst]
         return rx.deliverable.popleft() if rx.deliverable else None
 
@@ -283,20 +298,9 @@ class ReliableWire:
 
     # -- protocol internals ---------------------------------------------
 
-    def _process_frame(self, dst: str, frame: Packet) -> None:
-        if frame.checksum is None or frame.checksum != packet_checksum(
-            frame.opcode, frame.payload
-        ):
-            # Corrupt frame: indistinguishable from loss. Data gaps are
-            # NAKed when the next good frame arrives; lost control
-            # frames are covered by the sender's timer.
-            self.stats.corrupt_dropped += 1
-            return
-        if frame.opcode == "rc_data":
-            self._process_data(dst, frame)
-        elif frame.opcode == "rc_ack":
-            self._process_ack(dst, frame.payload)
-        elif frame.opcode == "rc_nak":
+    def _process_control(self, dst: str, frame: Packet) -> None:
+        """A checked frame that is neither data nor ACK: NAK or RNR."""
+        if frame.opcode == "rc_nak":
             self._retransmit_from(dst, frame.payload)
         elif frame.opcode == "rc_rnr":
             tx = self._tx[dst]
@@ -319,7 +323,8 @@ class ReliableWire:
             # Duplicate (retransmission overlap): re-ack so the sender
             # can advance even if the original ACK was lost.
             self.stats.duplicates_dropped += 1
-            self._ack(dst, rx.expected - 1)
+            self.stats.acks_sent += 1
+            self.raw.transmit(dst, control_frame("rc_ack", rx.expected - 1))
             return
         if psn > rx.expected:
             # Gap: go-back-N discards everything until the missing PSN
@@ -341,9 +346,6 @@ class ReliableWire:
         rx.expected += 1
         rx.nak_pending_for = -1
         self.stats.delivered += 1
-        self._ack(dst, psn)
-
-    def _ack(self, dst: str, psn: int) -> None:
         self.stats.acks_sent += 1
         self.raw.transmit(dst, control_frame("rc_ack", psn))
 
@@ -366,7 +368,8 @@ class ReliableWire:
 
     def _advance_timer(self, src: str, tx: _TxState) -> None:
         """One tick of ``src``'s retransmission timer; its window is
-        not empty."""
+        not empty. ``receive`` ticks the timer itself unless an RNR
+        wait is pending or this tick fires it."""
         if tx.rnr_wait > 0:
             tx.rnr_wait -= 1
             if tx.rnr_wait == 0:

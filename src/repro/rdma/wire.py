@@ -104,14 +104,23 @@ def packet_checksum(opcode: str, payload: Any) -> int:
     change what the wire accepts. Anything that is neither plain data
     nor a dataclass raises ``TypeError`` rather than going unprotected.
 
-    A bare-int payload (every RC control frame carries just a PSN) is
-    memoised *by value*: whoever asks — the sender stamping a frame or
-    the receiver checking one — gets the CRC of the opcode and int it
-    passed in, never of an object it happens to share.
+    An ``rc_data`` body of a PSN and an inner packet is imaged without
+    a call for its outer level, to the same bytes; any other shape, a
+    damaged one too, takes the generic mirror. A bare-int payload
+    (every RC control frame carries just a PSN) is memoised *by
+    value*: whoever asks — the sender stamping a frame or the receiver
+    checking one — gets the CRC of the opcode and int it passed in,
+    never of an object it happens to share.
     """
-    if type(payload) is int:
+    kind = type(payload)
+    if kind is int:
         return _scalar_checksum(opcode, payload)
-    image = [opcode, payload if type(payload) in _LEAVES else _mirror(payload)]
+    if kind is tuple and opcode == "rc_data":
+        match payload:
+            case (psn, Packet() as inner) if type(psn) is int:
+                # The image ``_mirror`` gives a data frame's body.
+                return zlib.crc32(marshal.dumps([opcode, [psn, _mirror(inner)]], 0))
+    image = [opcode, payload if kind in _LEAVES else _mirror(payload)]
     return zlib.crc32(marshal.dumps(image, 0))
 
 

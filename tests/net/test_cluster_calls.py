@@ -6,19 +6,24 @@ path's cost where it is (docs/ARCHITECTURE.md, "what is resolved when"):
 
 * what is a function of the **connection** is resolved once per
   connection: one ``RouteTable.path`` call per directed flow;
-* what is a function of the **packet** is derived once and carried: at
-  most one ``fabric_mid_of`` per fabric packet, and a control frame —
-  two scalars — is checksummed once per distinct (opcode, PSN), by
-  value, never again per ACK;
+* what is a function of the **packet** is derived once and carried:
+  the fabric reads the ledger mid inline at transmit, entering no
+  per-packet mid helper, and a control frame — two scalars — is
+  checksummed once per distinct (opcode, PSN), by value, never again
+  per ACK;
 * each **object** is built once: one ``MessageEnvelope`` per message,
-  one ``MatchEvent`` per matching decision.
+  one ``MatchEvent`` per matching decision;
+* each **layer crossing** is one call: no helper hop per frame inside
+  the reliable wire (dispatch, ACK, the common timer tick), the fabric
+  wire (the arrival pop) or the recorder (one call per stamp site).
 
 The ceiling on total calls per delivery is the backstop for everything
-not named: CPython 3.11 counts 322.1 here (322.8 before the flight
-recorder's typed columns and the fabric's hop log, 338.0 before the
-engine's lookahead search, 366.9 before the columnar flight recorder,
-479.4 before the per-packet diet), and the ceiling is that plus 3 %;
-later interpreters inline more and count fewer.
+not named: CPython 3.11 counts 292.2 here (322.1 before the one-call
+crossings, 322.8 before the flight recorder's typed columns and the
+fabric's hop log, 338.0 before the engine's lookahead search, 366.9
+before the columnar flight recorder, 479.4 before the per-packet diet),
+and the ceiling is that plus 3 %; later interpreters inline more and
+count fewer.
 """
 
 import sys
@@ -29,7 +34,7 @@ from repro.rdma.wire import _scalar_checksum, control_frame
 RANKS = 16
 ROUNDS = 3
 #: ``call`` + ``c_call`` events per delivered message, set-up included.
-CALLS_PER_DELIVERY_CEILING = 331
+CALLS_PER_DELIVERY_CEILING = 301
 
 
 def _profiled_run():
@@ -78,8 +83,12 @@ def test_per_packet_not_per_poll():
     # Connection: each wire is two directed flows, each routed once.
     assert sites[("routing.py", "path")] == 2 * len(sim.wires)
 
-    # Packet: the ledger mid is read once at transmit and carried.
-    assert sites[("fabricwire.py", "fabric_mid_of")] == packets
+    # Packet: the ledger mid is read inline at transmit and carried; of
+    # the fabric wire's functions only its two crossings run per packet.
+    per_packet = {
+        name for (file, name), n in sites.items() if file == "fabricwire.py" and n >= packets
+    }
+    assert per_packet == {"transmit", "receive"}, per_packet
 
     # Control frames are values. Every ACK of the run carries one of
     # ROUNDS distinct PSNs (one message per direction per round): the
@@ -94,10 +103,19 @@ def test_per_packet_not_per_poll():
     assert control_frame.cache_info().hits == acks - ROUNDS
     assert _scalar_checksum.cache_info().hits == acks
     # Data frames: imaged once by the sender and once by the receiver,
-    # five nested levels each (frame body, inner packet, its payload
-    # pair, the header, its inline hash words) — and nothing else is.
+    # four nested levels each (inner packet, its payload pair, the
+    # header, its inline hash words; the (PSN, inner) body is built in
+    # place) — and nothing else is.
     assert sites[("wire.py", "packet_checksum")] == 2 * deliveries + acks + ROUNDS
-    assert sites[("wire.py", "_mirror")] == 2 * deliveries * 5
+    assert sites[("wire.py", "_mirror")] == 2 * deliveries * 4
+
+    # Crossings: the reliable wire's ``receive`` checks every frame and
+    # dispatches it to one handler, sends the data frame's ACK and ticks
+    # a timer that does not fire, all in place.
+    assert sites[("reliability.py", "_process_data")] == deliveries
+    assert sites[("reliability.py", "_process_ack")] == acks
+    assert ("reliability.py", "_process_control") not in sites
+    assert ("reliability.py", "_advance_timer") not in sites
 
     # Objects: built once each.
     assert built["MessageEnvelope"] == deliveries

@@ -4,7 +4,7 @@ import json
 
 from repro.net.cluster import ClusterSim, cluster_workload
 from repro.net.fabric import Fabric
-from repro.net.fabricwire import FabricWire, fabric_mid_of
+from repro.net.fabricwire import FabricWire
 from repro.net.faults import LinkFaultPlan
 from repro.net.topology import ring, torus2d
 from repro.obs.ledger import FlightRecorder
@@ -69,22 +69,42 @@ class TestWireContract:
 
 
 class TestMidExtraction:
+    """``transmit`` reads a packet's ledger mid once; the ``fabric_hops``
+    note it files under that mid shows what it read."""
+
     class _Header:
         def __init__(self, mid):
             self.mid = mid
 
+    @staticmethod
+    def noted(packet):
+        """The mids ``transmit`` filed a ``fabric_hops`` note under."""
+        recorder = FlightRecorder()
+        for _ in range(8):
+            recorder.open(source=0, tag=0)
+        wire = FabricWire(
+            Fabric(ring(2)), "A", "B", node_a="h0", node_b="h1", recorder=recorder
+        )
+        wire.transmit("A", packet)
+        columns = recorder.columns()
+        return [
+            mid
+            for mid, name in zip(columns.note_mids, columns.note_names)
+            if name == "fabric_hops"
+        ]
+
     def test_send_and_rts_carry_mid(self):
-        header = self._Header(42)
-        assert fabric_mid_of(Packet("send", (header, b"x"))) == 42
-        assert fabric_mid_of(Packet("rts", (header,))) == 42
+        header = self._Header(6)
+        assert self.noted(Packet("send", (header, b"x"))) == [6]
+        assert self.noted(Packet("rts", (header,))) == [6]
 
     def test_rc_data_unwraps(self):
         inner = Packet("send", (self._Header(7), b"y"))
-        assert fabric_mid_of(Packet("rc_data", (3, inner))) == 7
+        assert self.noted(Packet("rc_data", (3, inner))) == [7]
 
     def test_control_traffic_has_no_mid(self):
-        assert fabric_mid_of(Packet("ack", 5)) == -1
-        assert fabric_mid_of(Packet("rc_data", (1, Packet("ack", 2)))) == -1
+        assert self.noted(Packet("ack", 5)) == []
+        assert self.noted(Packet("rc_data", (1, Packet("ack", 2)))) == []
 
 
 class TestLedgerCoupling:

@@ -189,7 +189,7 @@ class TestAnnotationsAndPassport:
         clock.t = 1.0
         recorder.open_receive(7, source=0, tag=1)
         clock.t = 2.0
-        recorder.close_receive(7, mid=11)
+        recorder.complete(11, 7)  # mid 11 has no record: the receive still closes
         rows = recorder.receives
         assert rows[0]["completed"] == 2.0 and rows[0]["mid"] == 11
         assert rows[1]["completed"] is None
@@ -212,10 +212,9 @@ class TestExportRoundTrip:
         recorder.stamp(mid, "wire")
         recorder.note(mid, "rnr")
         clock.t = 5.0
-        recorder.complete(mid)
-        recorder.event("reoffload")
         recorder.open_receive(1, source=0, tag=1)
-        recorder.close_receive(1, mid=mid)
+        recorder.complete(mid, 1)
+        recorder.event("reoffload")
         return recorder
 
     def test_json_round_trip_preserves_everything(self):
@@ -274,18 +273,18 @@ class TestNullRecorder:
     def test_every_operation_is_a_stateless_noop(self):
         recorder = NullRecorder()
         assert recorder.open(source=0, tag=1) == -1
-        assert recorder.new_mid() == -1
         recorder.set_clock(lambda: 99.0)
         assert recorder.now() == 0.0
         recorder.stamp(0, "wire")
-        recorder.complete(0)
+        recorder.stamp_at(0, "staged", 1.0)
+        recorder.stamp_staged(0, ("where", "bounce"))
+        recorder.complete(0, 0)
         recorder.note(0, "retransmit")
         assert recorder.mark(0) == 0
         recorder.rewind(0, 0)
         recorder.label(0, "x")
         assert recorder.passport("x") is None
         recorder.open_receive(0, source=0, tag=0)
-        recorder.close_receive(0)
         recorder.event("takeover")
         assert recorder.export().scenarios == {}
         assert not hasattr(recorder, "records")  # truly allocation-free

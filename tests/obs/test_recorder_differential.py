@@ -2,17 +2,26 @@
 object-graph recorder it replaced (``reference_recorder.py``), op by op.
 
 Both recorders read one fake clock and receive the same script. After
-*every* operation everything a caller can observe must agree:
-``phase_of`` and ``mark`` of every mid (known, bare, and the foreign
--1 and 999), every passport, the ``records`` snapshot, the live rows
-the one-pass ``columns()`` reader sees, the derived ``receives`` rows
-and the exported JSON. The script interleaves
-``open`` / ``new_mid`` / ``stamp`` / ``stamp_at`` / ``note`` /
-``complete`` across mids, takes nested marks and rewinds to them (and
-to marks past either end), relabels, opens and closes receives on
-repeated handles, records run-level events, and moves the clock
-backwards as well as forwards, so the dedupe, post-complete and clamp
-rules all fire.
+*every* operation everything a caller can observe must agree: ``mark``
+of every mid (known, not yet opened, and the foreign -1 and 999), every
+passport, the ``records`` snapshot, the live rows the one-pass
+``columns()`` reader sees, the derived ``receives`` rows and the
+exported JSON. The script interleaves ``open`` / ``stamp`` /
+``stamp_at`` / ``note`` / ``complete`` across mids, takes nested marks
+and rewinds to them (and to marks past either end), relabels, opens and
+closes receives on repeated handles, records run-level events, and
+moves the clock backwards as well as forwards, so the dedupe,
+post-complete and clamp rules all fire.
+
+Where the columnar recorder does in one call what a layer crossing
+once did in several, the reference runs the primitive sequence the
+fused call replaced: ``complete(mid, handle)`` against ``complete`` +
+``close_receive``; the fabric arrival, ``stamp_at(mid, "staged", ...)``,
+against ``phase_of(mid) == "wire"`` + ``stamp_at``; the queue pair's
+``stamp_staged`` against ``stamp(mid, "staged", ...)`` + ``stamp(mid,
+"cq")``. Arrivals land on records still in ``wire``, on records that
+have left it, twice for one message (a duplicate or a retransmitted
+copy), on foreign mids and behind the record's clock.
 """
 
 from hypothesis import HealthCheck, settings
@@ -22,9 +31,9 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.obs.ledger import FlightRecorder
 from tests.obs.reference_recorder import ReferenceRecorder
 
-#: Mids the script addresses: mostly the three records and the bare mid
-#: the script starts with, sometimes one not yet handed out, and foreign
-#: traffic (-1 must never index from the end; 999 is past it).
+#: Mids the script addresses: mostly the three records the script starts
+#: with and the next one opened, sometimes one not yet handed out, and
+#: foreign traffic (-1 must never index from the end; 999 is past it).
 MIDS = st.one_of(st.sampled_from((0, 1, 2, 3)), st.sampled_from((-1, 4, 5, 999)))
 PHASES = st.sampled_from(("send", "wire", "staged", "cq", "umq", "matched", "complete"))
 DETAILS = st.dictionaries(
@@ -32,6 +41,8 @@ DETAILS = st.dictionaries(
 )
 TIMES = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, 7.5))
 HANDLES = st.integers(0, 2)
+HOPS = st.integers(1, 3)
+WHERE = st.sampled_from(("bounce", "host", "inline"))
 IDENTS = ("0:0", "0:1", "1:0")
 
 
@@ -55,12 +66,11 @@ class RecorderDifferential(RuleBasedStateMachine):
 
     @initialize()
     def three_records(self):
-        """Start with mids 0-2 open at staggered times and mid 3 handed
-        out bare, so most rules land on one of them from the first step."""
+        """Start with mids 0-2 open at staggered times, so most rules land
+        on one of them from the first step."""
         for t in (1.0, 2.0, 3.0):
             self.clock.t = t
             self.both("open", source=0, tag=int(t))
-        self.both("new_mid")
 
     def both(self, method: str, *args, **kwargs):
         expected = getattr(self.ref, method)(*args, **kwargs)
@@ -81,21 +91,46 @@ class RecorderDifferential(RuleBasedStateMachine):
     def open(self, source, tag, size, protocol):
         self.both("open", source=source, tag=tag, size=size, protocol=protocol)
 
-    @rule()
-    def new_mid(self):
-        self.both("new_mid")
-
     @rule(mid=MIDS, phase=PHASES, detail=DETAILS)
     def stamp(self, mid, phase, detail):
         self.both("stamp", mid, phase, **detail)
 
     @rule(mid=MIDS, phase=PHASES, ts=TIMES, detail=DETAILS)
     def stamp_at(self, mid, phase, ts, detail):
-        self.both("stamp_at", mid, phase, ts, **detail)
+        if phase != "staged" or self.ref.phase_of(mid) == "wire":
+            self.ref.stamp_at(mid, phase, ts, **detail)
+        self.new.stamp_at(mid, phase, ts, **detail)
 
-    @rule(mid=MIDS)
-    def complete(self, mid):
-        self.both("complete", mid)
+    @rule(mid=MIDS, ts=TIMES, hops=HOPS)
+    def arrive(self, mid, ts, hops):
+        """The fabric's arrival hook, as ``FabricWire.receive`` calls it."""
+        if self.ref.phase_of(mid) == "wire":
+            self.ref.stamp_at(mid, "staged", ts, where="fabric", hops=hops)
+        self.new.stamp_at(mid, "staged", ts, ("where", "fabric", "hops", hops))
+
+    @rule(mid=MIDS, where=WHERE)
+    def stage(self, mid, where):
+        """The queue pair's staging, as ``QueuePair.process_inbound`` calls it."""
+        self.ref.stamp(mid, "staged", where=where)
+        self.ref.stamp(mid, "cq")
+        self.new.stamp_staged(mid, ("where", where))
+
+    @rule(mid=MIDS, arrivals=st.lists(st.tuples(TIMES, HOPS), max_size=3), where=WHERE)
+    def fabric_crossing(self, mid, arrivals, where):
+        """A message's whole fabric crossing: sequenced onto the wire,
+        arrived no, one or more times (a duplicate, a retransmitted
+        copy), then staged."""
+        self.both("stamp", mid, "wire")
+        for ts, hops in arrivals:
+            self.arrive(mid, ts, hops)
+        self.stage(mid, where)
+
+    @rule(mid=MIDS, handle=st.one_of(st.none(), HANDLES))
+    def complete(self, mid, handle):
+        self.ref.complete(mid)
+        if handle is not None:
+            self.ref.close_receive(handle, mid)
+        self.new.complete(mid, handle)
 
     @rule(mid=MIDS, name=st.sampled_from(("rollback", "retransmit")), detail=DETAILS)
     def note(self, mid, name, detail):
@@ -124,10 +159,6 @@ class RecorderDifferential(RuleBasedStateMachine):
     def open_receive(self, handle, source, tag):
         self.both("open_receive", handle, source=source, tag=tag)
 
-    @rule(handle=HANDLES, mid=MIDS)
-    def close_receive(self, handle, mid):
-        self.both("close_receive", handle, mid)
-
     @rule(name=st.sampled_from(("takeover", "reoffload")), detail=DETAILS)
     def event(self, name, detail):
         self.both("event", name, **detail)
@@ -135,7 +166,6 @@ class RecorderDifferential(RuleBasedStateMachine):
     @invariant()
     def observably_equal(self):
         for mid in (-1, *range(8), 999):
-            assert self.new.phase_of(mid) == self.ref.phase_of(mid), mid
             assert self.new.mark(mid) == self.ref.mark(mid), mid
         for ident in (*IDENTS, "never-labelled"):
             assert self.new.passport(ident) == self.ref.passport(ident), ident

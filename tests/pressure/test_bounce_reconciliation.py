@@ -72,4 +72,4 @@ class TestReconciliation:
         with pytest.raises(BouncePoolExhausted):
             pool.allocate()
         pool.release(a)
-        assert pool.available == 1
+        assert pool.slots.available == 1

@@ -65,13 +65,6 @@ class TestCompletionQueue:
         with pytest.raises(CompletionQueueOverflow):
             cq.push("send", "y")
 
-    def test_poll_batch(self):
-        cq = CompletionQueue()
-        for i in range(5):
-            cq.push("send", i)
-        assert [c.payload for c in cq.poll_batch(3)] == [0, 1, 2]
-        assert len(cq) == 2
-
     def test_poll_empty(self):
         assert CompletionQueue().poll() is None
 
@@ -151,6 +144,14 @@ class TestQueuePair:
         completions = tx.poll()
         assert completions[0].opcode == "ack"
         assert completions[0].payload == "done"
+
+    def test_poll_drains_up_to_limit_in_order(self):
+        rx = QueuePair(Wire("tx", "rx"), "rx")
+        for i in range(5):
+            rx.cq.push("send", i)
+        assert [c.payload for c in rx.poll(limit=3)] == [0, 1, 2]
+        assert len(rx.cq) == 2
+        assert [c.payload for c in rx.poll(limit=3)] == [3, 4]
 
     def test_unknown_opcode_rejected(self):
         wire = Wire("tx", "rx")

@@ -118,7 +118,7 @@ class BounceDriver:
 
     def check(self, model: EagerFreeList) -> None:
         assert self.pool.in_use == model.in_use
-        assert self.pool.available == len(model.free)
+        assert self.pool.slots.available == len(model.free)
         assert self.pool.high_water == model.high_water
         assert self.pool.capacity == model.capacity
         releases = [entry for entry in self.meter.log if entry[0] == "release"]
@@ -193,9 +193,10 @@ def test_bounce_buffer_objects_are_reused_per_index():
     first = pool.allocate()
     pool.release(first)
     assert pool.allocate() is first
-    assert pool.get(1).index == 1 and not pool.get(1).in_use
-    with pytest.raises(IndexError):
-        pool.get(2)
+    second = pool.allocate()
+    assert second.index == 1 and second is not first
+    with pytest.raises(BouncePoolExhausted):
+        pool.allocate()
 
 
 @pytest.mark.parametrize("capacity", [0, -3])
